@@ -35,6 +35,7 @@ from .predictor import (
     PredictionMode,
     PredictionResult,
     correct_mvs,
+    estimate_field,
     full_search_me,
     motion_compensate,
     predict_uamm,

@@ -17,9 +17,8 @@ from typing import Optional
 
 from .config import ConfigError, apply_overrides, load_config
 from .evaluation import RdPoint, bd_rate, run_experiment
-from .kinematics import TimeInterval
 from .motion_field import MotionField, derive_field_params, dump_field_csv
-from .predictor import full_search_me
+from .predictor import estimate_field
 from .sequences import synth_sequence, write_yuv
 
 
@@ -79,23 +78,16 @@ def cmd_demo_field(args) -> int:
     cfg = _load(args.config, out=args.out)
     frames = cfg.source.load()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    from .evaluation import _frame_blocks  # same tiling as the runner
-
-    tick = TimeInterval(1)
-    raw_fields = [MotionField.empty(0, cfg.source.width, cfg.source.height)]
-    written = 0
+    prev_field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
-        field_k = MotionField.empty(k, cfg.source.width, cfg.source.height)
-        for block in _frame_blocks(cfg.source.width, cfg.source.height, cfg.block_size):
-            mv = full_search_me(frames[k], frames[k - 1], block, cfg.search_range)
-            field_k.set_block_mv(block.x, block.y, block.w, block.h, mv, tick)
-        derived = derive_field_params(field_k, raw_fields[k - 1])
+        field_k, _ = estimate_field(frames[k], frames[k - 1], cfg.block_size,
+                                    cfg.search_range)
+        derived = derive_field_params(field_k, prev_field)
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
         with open(path, "w") as fh:
             dump_field_csv(derived, fh)
-        raw_fields.append(field_k)
-        written += 1
-    print(f"wrote {written} field CSVs to {cfg.output_dir}")
+        prev_field = field_k
+    print(f"wrote {len(frames) - 1} field CSVs to {cfg.output_dir}")
     return 0
 
 

@@ -41,6 +41,8 @@ class RunConfig:
     output_dir: str = "out"
     write_rd_curves: bool = False
     seed: int = 0
+    # (patch_seed, background_seed) as [trajectory] gives them; None follows seed.
+    trajectory_seeds: tuple[Optional[int], Optional[int]] = (None, None)
 
     def experiment(self) -> ExperimentConfig:
         return ExperimentConfig(
@@ -95,13 +97,28 @@ def _parse_modes(raw: str) -> tuple[str, ...]:
     return modes
 
 
-def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> TrajectorySpec:
+def _seeded(trajectory: TrajectorySpec, explicit: tuple[Optional[int], Optional[int]],
+            seed: int) -> TrajectorySpec:
+    """Resolve the texture seeds: explicit values win, else seed and seed + 1."""
+    patch_seed, background_seed = explicit
+    return replace(
+        trajectory,
+        patch_seed=seed if patch_seed is None else patch_seed,
+        background_seed=seed + 1 if background_seed is None else background_seed,
+    )
+
+
+def _parse_trajectory(
+    parser: configparser.ConfigParser, seed: int
+) -> tuple[TrajectorySpec, tuple[Optional[int], Optional[int]]]:
+    """The [trajectory] section, plus the texture seeds it sets explicitly."""
     sec = "trajectory"
     if not parser.has_section(sec):
         raise ConfigError("[trajectory] section is required for synthetic input")
     geti = lambda key, default: _get(parser, sec, key, int, default, "for synthetic input")
+    explicit = (geti("patch_seed", None), geti("background_seed", None))
     try:
-        return TrajectorySpec(
+        spec = TrajectorySpec(
             start_x=geti("start_x", _REQUIRED),
             start_y=geti("start_y", _REQUIRED),
             v0x=geti("v0x", 0),
@@ -111,14 +128,13 @@ def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> Trajector
             patch_width=geti("patch_width", 16),
             patch_height=geti("patch_height", 16),
             patch_kind=_get(parser, sec, "patch", str, "noise", ""),
-            patch_seed=geti("patch_seed", seed),
             patch_value=geti("patch_value", 200),
             background=_get(parser, sec, "background", str, "flat", ""),
             background_value=geti("background_value", 128),
-            background_seed=geti("background_seed", seed + 1),
         )
     except ValueError as exc:
         raise ConfigError(f"[trajectory] {exc}") from None
+    return _seeded(spec, explicit, seed), explicit
 
 
 def _parse_rate_points(parser: configparser.ConfigParser,
@@ -167,11 +183,11 @@ def load_config(path: str) -> RunConfig:
     if kind == "yuv":
         seq_path = _get(parser, "input", "path", str, _REQUIRED, "for yuv input")
         default_name = os.path.splitext(os.path.basename(seq_path))[0]
-        trajectory = None
+        trajectory, trajectory_seeds = None, (None, None)
     else:
         seq_path = None
         default_name = "synthetic"
-        trajectory = _parse_trajectory(parser, seed)
+        trajectory, trajectory_seeds = _parse_trajectory(parser, seed)
     name = _get(parser, "input", "name", str, default_name, "")
 
     try:
@@ -197,6 +213,7 @@ def load_config(path: str) -> RunConfig:
         output_dir=_get(parser, "output", "dir", str, "out", ""),
         write_rd_curves=_get(parser, "output", "write_rd_curves", _to_bool, False, ""),
         seed=seed,
+        trajectory_seeds=trajectory_seeds,
     )
 
 
@@ -228,5 +245,8 @@ def apply_overrides(
     if out is not None:
         cfg = replace(cfg, output_dir=out)
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
+        trajectory = cfg.source.trajectory
+        if trajectory is not None:
+            trajectory = _seeded(trajectory, cfg.trajectory_seeds, seed)
+        cfg = replace(cfg, seed=seed, source=replace(cfg.source, trajectory=trajectory))
     return cfg

@@ -20,20 +20,14 @@ import csv
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
 
-from .kinematics import MotionVector, TimeInterval
+from .kinematics import MotionVector
 from .motion_field import CELL_SIZE, MotionField, derive_field_params
-from .predictor import (
-    BlockSpec,
-    full_search_me,
-    predict_uamm,
-    predict_uniform,
-)
+from .predictor import estimate_field, predict_uamm, predict_uniform
 from .sequences import FrameBuffer, TrajectorySpec, read_yuv, synth_sequence
 
 MODES = ("uniform", "uamm")
@@ -211,15 +205,6 @@ def _signed_exp_golomb_bits(v: int) -> int:
     return 2 * (u + 1).bit_length() - 1
 
 
-def _frame_blocks(width: int, height: int, block_size: int) -> list[BlockSpec]:
-    blocks = []
-    for y in range(0, height, block_size):
-        for x in range(0, width, block_size):
-            blocks.append(BlockSpec(x, y, min(block_size, width - x),
-                                    min(block_size, height - y)))
-    return blocks
-
-
 @dataclass
 class _ModeTally:
     sad_total: int = 0
@@ -236,24 +221,20 @@ def _run_rate_point(
 ) -> dict[str, _ModeTally]:
     """Predict every frame after the first at one operating point."""
     width, height = frames[0].width, frames[0].height
-    blocks = _frame_blocks(width, height, rp.block_size)
-    tick = TimeInterval(1)
     tallies = {m: _ModeTally() for m in modes}
 
-    raw_fields = [MotionField.empty(0, width, height)]
+    raw_fields = [MotionField.empty(frames[0].poc, width, height)]
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
-        if k >= 2:
+        # Parameters need two searched fields, and only the uamm mode reads them.
+        ref_field = raw_fields[0]
+        if "uamm" in modes and k >= 2:
             ref_field = derive_field_params(raw_fields[k - 1], raw_fields[k - 2])
-        else:
-            ref_field = raw_fields[0]
 
-        field_k = MotionField.empty(k, width, height)
+        field_k, searched = estimate_field(src, ref, rp.block_size, rp.search_range)
         pred_frames = {m: np.empty((height, width), dtype=np.uint8) for m in modes}
         prev_mv = {m: MotionVector(0, 0) for m in modes}
-        for block in blocks:
-            initial = full_search_me(src, ref, block, rp.search_range)
-            field_k.set_block_mv(block.x, block.y, block.w, block.h, initial, tick)
+        for block, initial in searched:
             for m in modes:
                 if m == "uniform":
                     result = predict_uniform(src, ref, block, rp.search_range,
@@ -281,19 +262,6 @@ def _run_rate_point(
     return tallies
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("UAMM_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"UAMM_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError(f"UAMM_THREADS must be non-negative, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every sequence at every rate point in every mode.
 
@@ -302,30 +270,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     is a pure function of the config: no timestamps, stable ordering.
     """
     report = ExperimentReport()
-    if not config.sequences:
-        _maybe_write(config, report)
-        return report
-
-    loaded = [(src, src.load()) for src in config.sequences]
-    jobs = [(si, ri) for si in range(len(loaded)) for ri in range(len(config.rate_points))]
-
-    def run_job(job):
-        si, ri = job
-        return _run_rate_point(loaded[si][1], config.rate_points[ri],
-                               config.modes, config.delta_max)
-
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(j) for j in jobs]
-
-    tally_by_job = dict(zip(jobs, results))
     curves: dict[tuple[str, str], list[RdPoint]] = {}
-    for si, (source, _) in enumerate(loaded):
-        for ri, rp in enumerate(config.rate_points):
-            tallies = tally_by_job[(si, ri)]
+    for source in config.sequences:
+        frames = source.load()
+        for rp in config.rate_points:
+            tallies = _run_rate_point(frames, rp, config.modes, config.delta_max)
             for m in config.modes:
                 t = tallies[m]
                 mean_sad = t.sad_total / t.blocks
@@ -347,7 +296,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         RdPoint(rate_proxy, mean_psnr))
 
     if "uniform" in config.modes and "uamm" in config.modes:
-        for source, _ in loaded:
+        for source in config.sequences:
             report.bd_summary.append(
                 (source.name, _try_bd(curves.get((source.name, "uniform"), []),
                                       curves.get((source.name, "uamm"), []))))

@@ -27,6 +27,7 @@ from .kinematics import (
     MV_UNITS_PER_PEL,
     MotionVector,
     ParamKind,
+    TimeInterval,
     _extrapolate_scaled,
 )
 from .motion_field import CELL_SIZE, MotionField, inherit_params
@@ -91,14 +92,15 @@ def full_search_me(
     _check_block_in_frame(src, block)
     _check_block_in_frame(ref, block)
 
-    src_block = src.luma[block.y:block.y + block.h,
-                         block.x:block.x + block.w].astype(np.int32)
     r = search_range
     padded = np.pad(ref.luma, r, mode="edge") if r else ref.luma
     windows = sliding_window_view(padded, (block.h, block.w))
+    # A fresh int16 copy, so the in-place ops below never write to ref.luma
+    # (padded is ref.luma itself at r = 0); |difference| <= 255 fits exactly.
     cand = windows[block.y:block.y + 2 * r + 1,
-                   block.x:block.x + 2 * r + 1].astype(np.int32)
-    costs = np.abs(cand - src_block).sum(axis=(2, 3), dtype=np.int64)
+                   block.x:block.x + 2 * r + 1].astype(np.int16)
+    cand -= src.luma[block.y:block.y + block.h, block.x:block.x + block.w]
+    costs = np.abs(cand, out=cand).sum(axis=(2, 3), dtype=np.int64)
 
     dy, dx = np.indices(costs.shape)
     dy = (dy - r).ravel()
@@ -107,6 +109,29 @@ def full_search_me(
     best = order[0]
     return MotionVector(int(dx[best]) * MV_UNITS_PER_PEL,
                         int(dy[best]) * MV_UNITS_PER_PEL)
+
+
+def estimate_field(
+    src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
+) -> tuple[MotionField, list[tuple[BlockSpec, MotionVector]]]:
+    """Full-search every block of a frame tiling and record the vectors.
+
+    The frame is tiled row by row with ``block_size`` squares, clipped at
+    the right and bottom edges. Returns the motion field of ``src`` (each
+    cell holds its block's vector over ``src.poc - ref.poc`` ticks) and
+    the (block, vector) pairs in tiling order.
+    """
+    interval = TimeInterval(src.poc - ref.poc)
+    field = MotionField.empty(src.poc, src.width, src.height)
+    searched = []
+    for y in range(0, src.height, block_size):
+        for x in range(0, src.width, block_size):
+            block = BlockSpec(x, y, min(block_size, src.width - x),
+                              min(block_size, src.height - y))
+            mv = full_search_me(src, ref, block, search_range)
+            field.set_block_mv(x, y, block.w, block.h, mv, interval)
+            searched.append((block, mv))
+    return field, searched
 
 
 def motion_compensate(

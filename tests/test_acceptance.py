@@ -229,34 +229,45 @@ def test_unavailable_field_degrades_to_the_baseline():
 
 
 def test_full_search_matches_brute_force():
-    """The vectorized search equals a per-candidate reference search."""
+    """The vectorized search equals a per-candidate reference search.
+
+    Block sides run from 4 to 64, square or not, at search ranges 0, 1, 8
+    and 24; each block origin is drawn at a frame edge or in between, so
+    blocks touch every edge and corner. The search works on copies in
+    place and must leave both frames untouched.
+    """
     rng = np.random.default_rng(11)
     from uamm import FrameBuffer
-    mismatches = 0
-    for trial in range(500):
-        luma_src = rng.integers(0, 256, (48, 48), dtype=np.uint8)
-        luma_ref = rng.integers(0, 256, (48, 48), dtype=np.uint8)
-        src = FrameBuffer(poc=1, width=48, height=48, luma=luma_src)
-        ref = FrameBuffer(poc=0, width=48, height=48, luma=luma_ref)
-        bx = int(rng.integers(0, 41))
-        by = int(rng.integers(0, 41))
-        block = BlockSpec(bx, by, 8, 8)
-        got = full_search_me(src, ref, block, 8)
+    width, height = 80, 72
+    mismatches = altered = 0
+    for trial in range(400):
+        luma_src = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        luma_ref = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        src = FrameBuffer(poc=1, width=width, height=height, luma=luma_src.copy())
+        ref = FrameBuffer(poc=0, width=width, height=height, luma=luma_ref.copy())
+        w = 4 * int(rng.integers(1, 17))
+        h = 4 * int(rng.integers(1, 17))
+        bx = (0, width - w, int(rng.integers(0, width - w + 1)))[rng.integers(3)]
+        by = (0, height - h, int(rng.integers(0, height - h + 1)))[rng.integers(3)]
+        r = 24 if trial % 40 == 0 else (0, 1, 8)[trial % 3]
+        got = full_search_me(src, ref, BlockSpec(bx, by, w, h), r)
+        altered += not (np.array_equal(src.luma, luma_src)
+                        and np.array_equal(ref.luma, luma_ref))
 
-        src_block = luma_src[by:by + 8, bx:bx + 8].astype(np.int64)
+        src_block = luma_src[by:by + h, bx:bx + w].astype(np.int64)
         best = None
-        for dy in range(-8, 9):
-            for dx in range(-8, 9):
-                cand = sample_block(luma_ref, bx, by, 8, 8, (dx * 16, dy * 16))
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                cand = sample_block(luma_ref, bx, by, w, h, (dx * 16, dy * 16))
                 sad = int(np.abs(src_block - cand.astype(np.int64)).sum())
                 key = (sad, abs(dx) + abs(dy), dy, dx)
                 if best is None or key < best[0]:
                     best = (key, MotionVector(dx * 16, dy * 16))
         mismatches += got != best[1]
     _report(
-        "full search equals brute force (500 random blocks)",
-        mismatches == 0,
-        f"{mismatches} mismatching searches",
+        "full search equals brute force (400 random blocks, 4..64 px, r 0..24)",
+        mismatches == 0 and altered == 0,
+        f"{mismatches} mismatching searches, {altered} searches altered a frame",
     )
 
 

@@ -169,6 +169,9 @@ def test_overrides_replace_frames_and_collapse_rate_points(tmp_path):
     assert over.output_dir == "elsewhere"
     assert over.seed == 99
     assert over.modes == ("uamm",)
+    # the file's explicit patch_seed wins; background_seed follows the seed
+    assert over.source.trajectory.patch_seed == 2
+    assert over.source.trajectory.background_seed == 100
 
 
 def test_overrides_reject_invalid_frames(tmp_path):
@@ -192,6 +195,22 @@ def test_predict_writes_reports(tmp_path, capsys):
                          "rate_proxy,corrected_pct")
     assert len(report) == 3  # one rate point, two modes
     assert (tmp_path / "out" / "bd_summary.csv").exists()
+
+
+def test_predict_seed_flag_equals_the_run_seed(tmp_path):
+    noisy = MINIMAL.replace("start_y = 16",
+                            "start_y = 16\nv0x = 8\nbackground = noise")
+    plain = write_ini(tmp_path, noisy)
+    seeded = write_ini(tmp_path, noisy + "\n[run]\nseed = 7\n", "seeded.ini")
+
+    def report(*args):
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        assert cli.main(["predict", *args, "--out", str(out)]) == 0
+        return (out / "report.csv").read_bytes()
+
+    by_flag = report("--config", plain, "--seed", "7")
+    assert by_flag == report("--config", seeded)
+    assert by_flag != report("--config", plain)
 
 
 def test_predict_missing_config_exits_2(tmp_path, capsys):

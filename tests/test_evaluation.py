@@ -19,6 +19,7 @@ from uamm import (
     synth_sequence,
     write_yuv,
 )
+from uamm import evaluation
 from uamm.evaluation import _signed_exp_golomb_bits
 
 CURVE = [RdPoint(100.0, 30.0), RdPoint(180.0, 33.0),
@@ -284,21 +285,15 @@ def test_experiment_bd_summary_is_na_below_four_points(tmp_path):
     assert lines[1].split(",") == ["accel", "NA"]
 
 
-def test_experiment_thread_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("UAMM_THREADS", "1")
-    rows_one = run_experiment(make_config(tmp_path / "a", [accel_source()])).rows
-    monkeypatch.delenv("UAMM_THREADS")
-    rows_auto = run_experiment(make_config(tmp_path / "b", [accel_source()])).rows
-    assert rows_one == rows_auto
+def test_experiment_uniform_only_derives_no_parameters(tmp_path, monkeypatch):
+    def refuse(curr, prev):
+        raise AssertionError("uniform-only runs never read derived parameters")
 
-
-def test_experiment_rejects_a_malformed_thread_count(tmp_path, monkeypatch):
-    cfg = make_config(tmp_path, [accel_source(frames=2, size=16)],
-                      rate_points=(RatePoint("a", 8, 2),))
-    for bad in ("abc", "-2"):
-        monkeypatch.setenv("UAMM_THREADS", bad)
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+    monkeypatch.setattr(evaluation, "derive_field_params", refuse)
+    report = run_experiment(make_config(tmp_path, [accel_source(frames=5)],
+                                        modes=("uniform",)))
+    assert [(r.rate_point, r.mode) for r in report.rows] == [
+        ("a", "uniform"), ("b", "uniform")]
 
 
 def test_experiment_writes_rd_curves_on_request(tmp_path):

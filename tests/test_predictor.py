@@ -16,6 +16,7 @@ from uamm import (
     UammParams,
     correct_mvs,
     derive_field_params,
+    estimate_field,
     field_from_global_mv,
     full_search_me,
     motion_compensate,
@@ -118,6 +119,19 @@ def test_search_validates_inputs():
         full_search_me(frame(luma), frame(luma), BlockSpec(0, 0, 8, 8), -1)
     with pytest.raises(ValueError):
         full_search_me(frame(luma), frame(luma), BlockSpec(12, 12, 8, 8), 2)
+
+
+def test_estimate_field_clips_the_tiling_at_the_frame_edges():
+    rng = np.random.default_rng(5)
+    ref = frame(noise(rng, 40, 24), poc=1)
+    src = frame(shifted_right(ref.luma, 2), poc=3)
+    field, searched = estimate_field(src, ref, 16, 4)
+    assert [(b.x, b.y, b.w, b.h) for b, _ in searched] == [
+        (0, 0, 16, 16), (16, 0, 16, 16), (32, 0, 8, 16),
+        (0, 16, 16, 8), (16, 16, 16, 8), (32, 16, 8, 8)]
+    assert all(mv == MotionVector(-32, 0) for _, mv in searched)
+    assert field.poc == 3 and field.mv_valid.all()
+    assert (field.mv == (-32, 0)).all() and (field.ref_distance == 2).all()
 
 
 # ------------------------------------------------------------- compensation
