@@ -128,12 +128,29 @@ def div_round_half_away(num: int, den: int) -> int:
 
     This is the single rounding rule used everywhere in the package, so a
     change here would show up in every frozen expected value.
+    ``div_round_half_away_array`` applies it to int64 arrays.
     """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     if num >= 0:
         return (num + den // 2) // den
     return -((-num + den // 2) // den)
+
+
+def div_round_half_away_array(num: np.ndarray, den: int) -> np.ndarray:
+    """``div_round_half_away`` elementwise over an int64 array.
+
+    Entries must lie within +-(2**63 - 1), which callers check beforehand.
+    Kept apart from the scalar function so its per-cell callers pay no
+    type dispatch.
+    """
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    # |num| = q*den + r rounds up from r >= ceil(den/2), with no sum that
+    # could leave the int64 range.
+    q, r = np.divmod(np.abs(num), den)
+    mag = q + (r >= den - den // 2)
+    return np.where(num < 0, -mag, mag)
 
 
 def displacement(p: UammParams, t: TimeInterval) -> MotionVector:
@@ -201,20 +218,38 @@ def derive_params(
     return UammParams.classify(v0x, v0y, ax, ay)
 
 
-def _extrapolate_scaled(
-    v0x: int, v0y: int, ax: int, ay: int, t0: int, t1: int, t2: int
-) -> tuple[int, int]:
+def _max_abs(*arrays: np.ndarray) -> int:
+    """Largest magnitude in int64 arrays, as an int (no abs() wrap-around)."""
+    return max(max(int(a.max()), -int(a.min())) for a in arrays)
+
+
+def _extrapolate_scaled(v0x, v0y, ax, ay, t0: int, t1: int, t2: int):
     """Raw extrapolated displacement over t2 ticks past the t0+t1 segments.
 
     Per axis: v0*t2 + a*t2*(t0+t1) + a*t2*t2/2, i.e. the displacement of
     the velocity advanced to the end of the derivation window. No motion
     vector range check is applied here.
+
+    The parameters are ints, or integer arrays of one shape extrapolated
+    elementwise into int64 with the same numerator and rounding. An array
+    call checks once, before any array arithmetic, that the tick
+    coefficients and the numerator bound from its largest |v0| and |a|
+    fit in int64, and raises OverflowError otherwise, so numpy never
+    wraps.
     """
     span = t0 + t1
-    nx = 2 * v0x * t2 + 2 * ax * t2 * span + ax * t2 * t2
-    ny = 2 * v0y * t2 + 2 * ay * t2 * span + ay * t2 * t2
-    _check_i64(nx, ny)
+    # Doubled numerator 2*v0*t2 + 2*a*t2*span + a*t2*t2, grouped per parameter.
+    cv = 2 * t2
+    ca = t2 * (2 * span + t2)
     den = 2 * PARAM_SCALE
+    if isinstance(v0x, np.ndarray):
+        v0x, v0y, ax, ay = (np.asarray(a, dtype=np.int64) for a in (v0x, v0y, ax, ay))
+        _check_i64(ca, abs(cv) * _max_abs(v0x, v0y) + abs(ca) * _max_abs(ax, ay))
+        return (div_round_half_away_array(cv * v0x + ca * ax, den),
+                div_round_half_away_array(cv * v0y + ca * ay, den))
+    nx = cv * v0x + ca * ax
+    ny = cv * v0y + ca * ay
+    _check_i64(nx, ny)
     return div_round_half_away(nx, den), div_round_half_away(ny, den)
 
 

@@ -187,32 +187,37 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
     )
 
 
+def gather_params(
+    ref_field: MotionField, block: "BlockSpec", mv: MotionVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter planes inherited by the 4x4 sub-blocks of a block.
+
+    Each sub-block center is displaced by ``mv`` rounded to integer pixels
+    and clamped into the reference frame; the cell found there supplies
+    the sub-block's parameters. Returns ``(v0, acc, kind)`` indexed
+    [row, col] over the sub-blocks: (rows, cols, 2) int64 twice, then
+    (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE).
+    """
+    center = CELL_SIZE // 2
+    px = np.arange(block.x + center, block.x + block.w, CELL_SIZE)
+    py = np.arange(block.y + center, block.y + block.h, CELL_SIZE)
+    px += div_round_half_away(mv.x, 16)
+    py += div_round_half_away(mv.y, 16)
+    cx = np.minimum(np.maximum(px, 0), ref_field.width - 1) // CELL_SIZE
+    cy = (np.minimum(np.maximum(py, 0), ref_field.height - 1) // CELL_SIZE)[:, None]
+    return ref_field.v0[cy, cx], ref_field.acc[cy, cx], ref_field.kind[cy, cx]
+
+
 def inherit_params(
     ref_field: MotionField, block: "BlockSpec", mv: MotionVector
 ) -> list[list[UammParams]]:
-    """Parameters inherited by each 4x4 sub-block of a block.
-
-    Each sub-block center is displaced by ``mv`` rounded to integer pixels
-    and clamped into the reference frame; the parameters of the cell found
-    there are inherited. Total: every sub-block gets exactly one params
-    value (possibly UNAVAILABLE).
-    """
-    dpx = div_round_half_away(mv.x, 16)
-    dpy = div_round_half_away(mv.y, 16)
-    rows = block.h // CELL_SIZE
-    cols = block.w // CELL_SIZE
-    out: list[list[UammParams]] = []
-    for j in range(rows):
-        row = []
-        for i in range(cols):
-            px = block.x + i * CELL_SIZE + CELL_SIZE // 2 + dpx
-            py = block.y + j * CELL_SIZE + CELL_SIZE // 2 + dpy
-            px = min(max(px, 0), ref_field.width - 1)
-            py = min(max(py, 0), ref_field.height - 1)
-            cell = ref_field._cell(px // CELL_SIZE, py // CELL_SIZE)
-            row.append(cell.params)
-        out.append(row)
-    return out
+    """``gather_params`` as one ``UammParams`` per sub-block, [row][col]."""
+    v0, acc, kind = gather_params(ref_field, block, mv)
+    return [
+        [UammParams(vx, vy, ax, ay, ParamKind(k))
+         for (vx, vy), (ax, ay), k in zip(v0_row, acc_row, kind_row)]
+        for v0_row, acc_row, kind_row in zip(v0.tolist(), acc.tolist(), kind.tolist())
+    ]
 
 
 def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .interp import sample_block
+from .interp import sample_block, sample_subblocks
 from .kinematics import (
     MV_UNITS_PER_PEL,
     MotionVector,
@@ -30,7 +30,9 @@ from .kinematics import (
     TimeInterval,
     _extrapolate_scaled,
 )
-from .motion_field import CELL_SIZE, MotionField, inherit_params
+from .motion_field import CELL_SIZE, MotionField, gather_params
+# Unused here; kept because perfbench/traced_cli.py wraps predictor.inherit_params.
+from .motion_field import inherit_params  # noqa: F401
 from .sequences import FrameBuffer
 
 DEFAULT_DELTA_MAX = 32  # 1/16-pel units: sub-block vectors stay within 2 pel
@@ -170,24 +172,6 @@ def correct_mvs(
     return out, count
 
 
-def _assemble_subblock_prediction(
-    ref: FrameBuffer, block: BlockSpec, mvs: np.ndarray
-) -> np.ndarray:
-    pred = np.empty((block.h, block.w), dtype=np.uint8)
-    for j in range(block.h // CELL_SIZE):
-        for i in range(block.w // CELL_SIZE):
-            pred[j * CELL_SIZE:(j + 1) * CELL_SIZE,
-                 i * CELL_SIZE:(i + 1) * CELL_SIZE] = sample_block(
-                ref.luma,
-                block.x + i * CELL_SIZE,
-                block.y + j * CELL_SIZE,
-                CELL_SIZE,
-                CELL_SIZE,
-                (int(mvs[j, i, 0]), int(mvs[j, i, 1])),
-            )
-    return pred
-
-
 def _block_sad(src: FrameBuffer, block: BlockSpec, pred: np.ndarray) -> int:
     src_block = src.luma[block.y:block.y + block.h,
                          block.x:block.x + block.w].astype(np.int32)
@@ -202,6 +186,8 @@ def predict_uniform(
     initial_mv: Optional[MotionVector] = None,
 ) -> PredictionResult:
     """Single-vector baseline: search, compensate, report."""
+    _check_block_in_frame(src, block)
+    _check_block_in_frame(ref, block)
     mv = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
     rows, cols = block.h // CELL_SIZE, block.w // CELL_SIZE
@@ -241,24 +227,20 @@ def predict_uamm(
     """
     if min(t0, t1, t2) < 1:
         raise ValueError(f"intervals must be positive, got {(t0, t1, t2)}")
+    _check_block_in_frame(src, block)
+    _check_block_in_frame(ref, block)
     mv_c = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
-    params_grid = inherit_params(ref_field, block, mv_c)
-    rows, cols = block.h // CELL_SIZE, block.w // CELL_SIZE
-    raw = np.empty((rows, cols, 2), dtype=np.int64)
-    fallbacks = 0
-    for j in range(rows):
-        for i in range(cols):
-            p = params_grid[j][i]
-            if p.kind == ParamKind.UNAVAILABLE:
-                raw[j, i] = (mv_c.x, mv_c.y)
-                fallbacks += 1
-            else:
-                raw[j, i] = _extrapolate_scaled(p.v0x, p.v0y, p.ax, p.ay, t0, t1, t2)
-    if fallbacks == rows * cols:
+    v0, acc, kind = gather_params(ref_field, block, mv_c)
+    available = kind != ParamKind.UNAVAILABLE
+    if not available.any():
         return predict_uniform(src, ref, block, search_range, initial_mv=mv_c)
+    ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
+                                 t0, t1, t2)
+    raw = np.where(available[..., None], np.stack((ex, ey), axis=-1),
+                   np.array([mv_c.x, mv_c.y], dtype=np.int64))
     corrected, count = correct_mvs(raw, mv_c, delta_max)
-    pred = _assemble_subblock_prediction(ref, block, corrected)
+    pred = sample_subblocks(ref.luma, block.x, block.y, block.w, block.h, corrected)
     return PredictionResult(
         mode=PredictionMode.UAMM_REFINED,
         initial_mv=mv_c,

@@ -1,8 +1,10 @@
 """Config parsing and the command line front end."""
 
 import csv
+import hashlib
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +235,41 @@ def test_predict_missing_yuv_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "void.yuv" in capsys.readouterr().err
+
+
+# sha256 of every file the shipped presets write. The outputs stay
+# byte-identical unless a change sets out to move them, and that change
+# records the new digests here.
+PRESETS = Path(__file__).resolve().parents[1] / "scripts" / "presets"
+PRESET_DIGESTS = {
+    "predict/report.csv":
+        "15a86380aae7d5d80c0c39006c4feba270f0289bdd9be18670a9ace259b866c6",
+    "predict/bd_summary.csv":
+        "142e707fdb9504e92d40febd791158ca78730e336a3165ceacf7155690b24110",
+    "predict/rd_accel_uamm.dat":
+        "9c710174c6539f36d33ae72b0b3acc3f627f56a565ce9ef089a72a94e60ec0b3",
+    "predict/rd_accel_uniform.dat":
+        "d0bae4458957cbc8e9de5b717e7a12208273939614d8a14031c744bde896f198",
+    "fields/field_0001.csv":
+        "94c6073b314cb18cc615f65bf9c4e603b6efa49c1c757b4f9f66953a778b426a",
+    "fields/field_0002.csv":
+        "4107b5544311b5d4a669d08613ec6b5a9ba51599f99dffc6ab63b75488d57ecb",
+    "fields/field_0003.csv":
+        "d1bb874b5f293565c584b5489c88a756c48e7fd12768e938dfe4c3f3d4533e2e",
+    "fields/field_0004.csv":
+        "c7371759047ccd693dbb05745717c29ee8ea2433ee14ae6f25ac1b9cf0168229",
+}
+
+
+def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
+    assert cli.main(["predict", "--config", str(PRESETS / "accel_sweep.ini"),
+                     "--out", str(tmp_path / "predict")]) == 0
+    assert cli.main(["demo-field", "--config", str(PRESETS / "demo_field.ini"),
+                     "--out", str(tmp_path / "fields")]) == 0
+    written = {f"{path.parent.name}/{path.name}":
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*/*")}
+    assert written == PRESET_DIGESTS
 
 
 # ----------------------------------------------------------- cli: demo-field

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm import (
@@ -21,8 +22,10 @@ from uamm import (
     tmvp_scale,
     velocity_at,
 )
+from uamm.kinematics import _extrapolate_scaled, div_round_half_away_array
 
 P = PARAM_SCALE
+I64_MAX = 2**63 - 1
 
 
 def params(v0x, v0y, ax, ay):
@@ -48,14 +51,20 @@ def tick(n):
 ])
 def test_rounding_frozen_cases(num, den, expected):
     assert div_round_half_away(num, den) == expected
+    assert div_round_half_away_array(np.array([num]), den).tolist() == [expected]
 
 
-@given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
+@given(st.one_of(st.integers(-10**12, 10**12), st.integers(-I64_MAX, I64_MAX)),
+       st.integers(1, 10**9))
 def test_rounding_matches_rational_half_away(num, den):
     q = Fraction(num, den)
     magnitude = math.floor(abs(q) + Fraction(1, 2))
     expected = magnitude if q >= 0 else -magnitude
     assert div_round_half_away(num, den) == expected
+    # The int64 array form rounds elementwise, without wrapping at the extremes.
+    got = div_round_half_away_array(np.array([num, -num], dtype=np.int64), den)
+    assert got.dtype == np.int64
+    assert got.tolist() == [expected, -expected]
 
 
 def test_rounding_rejects_bad_denominator():
@@ -63,6 +72,8 @@ def test_rounding_rejects_bad_denominator():
         div_round_half_away(1, 0)
     with pytest.raises(ValueError):
         div_round_half_away(1, -2)
+    with pytest.raises(ValueError):
+        div_round_half_away_array(np.array([1]), 0)
 
 
 # ------------------------------------------------------------ value types
@@ -266,6 +277,40 @@ def test_extrapolation_is_displacement_of_advanced_velocity(
         div_round_half_away(2 * v2y * t2 + p.ay * t2 * t2, 2 * P),
     )
     assert extrapolate_mv(p, tick(t0), tick(t1), tick(t2)) == expected
+
+
+_PARAM = st.one_of(_SCALED, st.integers(-2**62, 2**62))
+
+
+@given(st.lists(st.tuples(_PARAM, _PARAM, _PARAM, _PARAM), min_size=1, max_size=12),
+       _TICKS, _TICKS, st.one_of(_TICKS, st.integers(1, 2**40)))
+@example([(0, 0, 0, 0)], 1, 1, 2**40)
+def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
+    """Arrays extrapolate elementwise exactly as the scalar call, and raise
+    OverflowError, never wrap, whenever a scalar numerator would leave int64."""
+    scalar = []
+    for v0x, v0y, ax, ay in rows:
+        try:
+            scalar.append(_extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2))
+        except OverflowError:
+            scalar = None
+            break
+    # The array call's documented bound: the acceleration coefficient, and
+    # the numerator from its largest |v0| and |a|.
+    coeff = t2 * (2 * (t0 + t1) + t2)
+    bound = max(coeff, 2 * t2 * max(abs(v) for r in rows for v in r[:2])
+                + coeff * max(abs(a) for r in rows for a in r[2:]))
+    for dtype in (np.int64, np.int32):
+        if dtype == np.int32 and any(abs(v) >= 2**31 for r in rows for v in r):
+            continue
+        v0x, v0y, ax, ay = (np.array(col, dtype=dtype) for col in zip(*rows))
+        if scalar is None or bound > I64_MAX:
+            with pytest.raises(OverflowError):
+                _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
+            continue
+        x, y = _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
+        assert x.dtype == y.dtype == np.int64
+        assert list(zip(x.tolist(), y.tolist())) == scalar
 
 
 # ---------------------------------------------------------------- overflow

@@ -5,8 +5,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uamm import (
+    MV_MAX,
     PARAM_SCALE,
     BlockSpec,
     MotionField,
@@ -18,8 +21,10 @@ from uamm import (
     dump_field_csv,
     extrapolate_mv,
     field_from_global_mv,
+    div_round_half_away,
     inherit_params,
 )
+from uamm.motion_field import gather_params
 
 P = PARAM_SCALE
 TICK = TimeInterval(1)
@@ -265,6 +270,55 @@ def test_inherit_is_total_on_empty_fields():
     f = MotionField.empty(0, 16, 16)
     grid = inherit_params(f, BlockSpec(4, 4, 8, 8), MotionVector(-300, 77))
     assert all(p.kind == ParamKind.UNAVAILABLE for row in grid for p in row)
+
+
+@st.composite
+def _random_inheritance(draw):
+    """A field with random parameters, a block inside it, and vectors."""
+    w, h = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    f = MotionField.empty(0, w, h)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v0 = rng.integers(-5000, 5001, f.v0.shape)
+    acc = rng.integers(-500, 501, f.acc.shape)
+    for cy in range(f.cells_y):
+        for cx in range(f.cells_x):
+            p = UammParams.classify(*v0[cy, cx], *acc[cy, cx])
+            if rng.random() < 0.3:
+                p = UammParams.unavailable()
+            f.v0[cy, cx] = (p.v0x, p.v0y)
+            f.acc[cy, cx] = (p.ax, p.ay)
+            f.kind[cy, cx] = int(p.kind)
+    bw = 4 * draw(st.integers(1, w // 4))
+    bh = 4 * draw(st.integers(1, h // 4))
+    bx = draw(st.sampled_from([0, w - bw, draw(st.integers(0, w - bw))]))
+    by = draw(st.sampled_from([0, h - bh, draw(st.integers(0, h - bh))]))
+    # Vectors within a few pels, where rounding picks the cell, and one anywhere.
+    mvs = [MotionVector(*rng.integers(-80, 81, 2)) for _ in range(8)]
+    far = st.integers(-MV_MAX, MV_MAX)
+    mvs.append(MotionVector(draw(far), draw(far)))
+    return f, BlockSpec(bx, by, bw, bh), mvs
+
+
+@given(_random_inheritance())
+def test_inherit_matches_the_displaced_center_cell(case):
+    """The array gather and its scalar wrapper against a per-sub-block
+    ``cell_at`` lookup of the displaced, clamped sub-block center."""
+    f, block, mvs = case
+    rows, cols = block.h // 4, block.w // 4
+    for mv in mvs:
+        v0, acc, kind = gather_params(f, block, mv)
+        grid = inherit_params(f, block, mv)
+        assert v0.shape == acc.shape == (rows, cols, 2) and kind.shape == (rows, cols)
+        assert len(grid) == rows and all(len(row) == cols for row in grid)
+        for j in range(rows):
+            for i in range(cols):
+                px = block.x + 4 * i + 2 + div_round_half_away(mv.x, 16)
+                py = block.y + 4 * j + 2 + div_round_half_away(mv.y, 16)
+                want = f.cell_at(min(max(px, 0), f.width - 1),
+                                 min(max(py, 0), f.height - 1)).params
+                assert grid[j][i] == want
+                assert (tuple(v0[j, i]), tuple(acc[j, i]), kind[j, i]) == (
+                    (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
 
 
 # --------------------------------------------------------------- CSV dump

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from uamm import (
+    MV_MAX,
     PARAM_SCALE,
     BlockSpec,
     FrameBuffer,
@@ -24,7 +27,7 @@ from uamm import (
     predict_uniform,
     synth_sequence,
 )
-from uamm.interp import sample_block
+from uamm.interp import sample_block, sample_subblocks
 
 P = PARAM_SCALE
 
@@ -63,25 +66,61 @@ def test_sample_block_integer_copy():
     assert np.array_equal(got, plane[2:7, 4:10])
 
 
-def test_sample_block_matches_scalar_bilinear():
-    rng = np.random.default_rng(1)
-    plane = noise(rng, 12, 12)
-    mvx, mvy = 21, -7  # fractional in both axes, negative y
-    got = sample_block(plane, 2, 2, 4, 4, (mvx, mvy))
-    ix, fx = mvx // 16, mvx % 16
-    iy, fy = mvy // 16, mvy % 16
-    for j in range(4):
-        for i in range(4):
-            def at(r, c):
-                r = min(max(r, 0), plane.shape[0] - 1)
-                c = min(max(c, 0), plane.shape[1] - 1)
-                return int(plane[r, c])
-            y, x = 2 + j + iy, 2 + i + ix
-            num = ((16 - fx) * (16 - fy) * at(y, x)
-                   + fx * (16 - fy) * at(y, x + 1)
-                   + (16 - fx) * fy * at(y + 1, x)
-                   + fx * fy * at(y + 1, x + 1))
-            assert got[j, i] == (num + 128) // 256
+def _scalar_bilinear(plane, x, y, mv):
+    """One sample at pixel (x, y) displaced by ``mv``, clamped at the border."""
+    def at(r, c):
+        r = min(max(r, 0), plane.shape[0] - 1)
+        c = min(max(c, 0), plane.shape[1] - 1)
+        return int(plane[r, c])
+    ix, fx = mv[0] // 16, mv[0] % 16
+    iy, fy = mv[1] // 16, mv[1] % 16
+    y, x = y + iy, x + ix
+    num = ((16 - fx) * (16 - fy) * at(y, x)
+           + fx * (16 - fy) * at(y, x + 1)
+           + (16 - fx) * fy * at(y + 1, x)
+           + fx * fy * at(y + 1, x + 1))
+    return (num + 128) // 256
+
+
+@st.composite
+def _random_compensation(draw):
+    """A plane, a block touching any of its edges, a 4x4 sub-block vector grid."""
+    w, h = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plane = noise(rng, w, h)
+    bw = 4 * draw(st.integers(1, min(w // 4, 4)))
+    bh = 4 * draw(st.integers(1, min(h // 4, 4)))
+    bx = draw(st.sampled_from([0, w - bw, draw(st.integers(0, w - bw))]))
+    by = draw(st.sampled_from([0, h - bh, draw(st.integers(0, h - bh))]))
+    # Small fractional vectors of either sign, or anywhere up to far outside.
+    component = st.one_of(st.integers(-40, 40), st.integers(-MV_MAX, MV_MAX))
+    n = (bh // 4) * (bw // 4)
+    mvs = draw(st.lists(st.tuples(component, component), min_size=n, max_size=n))
+    return plane, bx, by, bw, bh, np.array(mvs, dtype=np.int64).reshape(bh // 4, bw // 4, 2)
+
+
+@given(_random_compensation())
+@example((noise(np.random.default_rng(1), 12, 12), 2, 2, 4, 4,
+          np.array([[[21, -7]]])))  # fractional in both axes, negative y
+def test_sample_block_matches_scalar_bilinear(case):
+    """Per-pixel scalar reference -> per-sub-block ``sample_block`` -> the
+    whole-block ``sample_subblocks`` gather, which must agree exactly."""
+    plane, bx, by, bw, bh, mvs = case
+    per_cell = np.empty((bh, bw), dtype=np.uint8)
+    for j in range(bh // 4):
+        for i in range(bw // 4):
+            mv = (int(mvs[j, i, 0]), int(mvs[j, i, 1]))
+            got = sample_block(plane, bx + 4 * i, by + 4 * j, 4, 4, mv)
+            want = [[_scalar_bilinear(plane, bx + 4 * i + c, by + 4 * j + r, mv)
+                     for c in range(4)] for r in range(4)]
+            assert got.tolist() == want
+            per_cell[4 * j:4 * j + 4, 4 * i:4 * i + 4] = got
+    assert np.array_equal(sample_subblocks(plane, bx, by, bw, bh, mvs), per_cell)
+    # The whole block under one vector, as uniform compensation fetches it.
+    mv = (int(mvs[-1, -1, 0]), int(mvs[-1, -1, 1]))
+    assert sample_block(plane, bx, by, bw, bh, mv).tolist() == [
+        [_scalar_bilinear(plane, bx + c, by + r, mv) for c in range(bw)]
+        for r in range(bh)]
 
 
 # -------------------------------------------------------------- full search
@@ -275,6 +314,24 @@ def test_block_spec_validation():
         BlockSpec(0, 0, 8, 0)
 
 
+@pytest.mark.parametrize("src_side,ref_side,block", [
+    (16, 16, BlockSpec(12, 12, 8, 8)),
+    (32, 16, BlockSpec(8, 8, 16, 16)),   # inside src, leaves ref
+    (16, 32, BlockSpec(8, 8, 16, 16)),   # inside ref, leaves src
+])
+def test_prediction_with_a_given_vector_rejects_a_block_leaving_a_frame(
+    src_side, ref_side, block
+):
+    src = frame(np.zeros((src_side, src_side), dtype=np.uint8))
+    ref = frame(np.zeros((ref_side, ref_side), dtype=np.uint8))
+    field = linear_field(ref_side, ref_side, 0, 0)  # usable: no fallback
+    zero = MotionVector(0, 0)
+    with pytest.raises(ValueError, match="leaves the 16x16 frame"):
+        predict_uniform(src, ref, block, 2, initial_mv=zero)
+    with pytest.raises(ValueError, match="leaves the 16x16 frame"):
+        predict_uamm(src, ref, field, block, 2, 1, 1, 1, initial_mv=zero)
+
+
 # -------------------------------------------------------------- uniform mode
 
 def test_uniform_static_scene():
@@ -387,6 +444,21 @@ def test_uamm_majority_reset_reproduces_the_block_vector():
     assert np.all(res.subblock_mvs == np.array([base.initial_mv.x,
                                                 base.initial_mv.y]))
     assert np.array_equal(res.pred_block, base.pred_block)
+
+
+@pytest.mark.parametrize("v0,acc,kind,t2", [
+    ((64, 0), (64, 0), ParamKind.ACCELERATED, 2**40),
+    ((2**61, 0), (0, 0), ParamKind.LINEAR, 4),   # 2*v0*t2 = 2**65 would wrap
+])
+def test_uamm_extrapolation_overflow_raises_instead_of_wrapping(v0, acc, kind, t2):
+    luma = np.zeros((16, 16), dtype=np.uint8)
+    f = MotionField.empty(0, 16, 16)
+    f.v0[:, :] = v0
+    f.acc[:, :] = acc
+    f.kind[:, :] = int(kind)
+    with pytest.raises(OverflowError):
+        predict_uamm(frame(luma), frame(luma), f, BlockSpec(0, 0, 8, 8), 2,
+                     t0=1, t1=1, t2=t2, initial_mv=MotionVector(0, 0))
 
 
 def test_uamm_rejects_bad_intervals():
