@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, load_config
 from .evaluation import RdPoint, bd_rate, run_experiment
 from .motion_field import MotionField, derive_field_params, dump_field_csv
 from .predictor import estimate_field
@@ -31,16 +31,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser("predict", help="run prediction and write report CSVs")
     predict.add_argument("--config", required=True, help="experiment config file")
-    predict.add_argument("--out", help="override output directory")
-    predict.add_argument("--frames", type=int, help="override frame count")
-    predict.add_argument("--block-size", type=int, help="override block size")
-    predict.add_argument("--search-range", type=int, help="override search range")
-    predict.add_argument("--modes", help="override modes, comma separated")
-    predict.add_argument("--seed", type=int, help="override seed")
+    predict.add_argument("--out", help="replaces [output] dir")
+    predict.add_argument("--frames", type=int, help="replaces [input] frames")
+    predict.add_argument("--block-size", type=int,
+                         help="replaces [predict] block_size, drops [rate_points]")
+    predict.add_argument("--search-range", type=int,
+                         help="replaces [predict] search_range, drops [rate_points]")
+    predict.add_argument("--modes", help="replaces [predict] modes, comma separated")
+    predict.add_argument("--seed", type=int, help="replaces [run] seed")
 
     demo = sub.add_parser("demo-field", help="dump derived motion fields as CSV")
     demo.add_argument("--config", required=True, help="experiment config file")
-    demo.add_argument("--out", help="override output directory")
+    demo.add_argument("--out", help="replaces [output] dir")
 
     bd = sub.add_parser("bd-rate", help="BD-rate of curve B against curve A")
     bd.add_argument("csv_a", help="anchor curve CSV with rate,psnr columns")
@@ -53,16 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, out: Optional[str] = None, **overrides):
-    cfg = load_config(path)
-    return apply_overrides(cfg, out=out, **overrides)
-
-
 def cmd_predict(args) -> int:
-    cfg = _load(args.config, out=args.out, frames=args.frames,
-                block_size=args.block_size, search_range=args.search_range,
-                modes=args.modes, seed=args.seed)
-    report = run_experiment(cfg.experiment())
+    cfg = load_config(args.config, out=args.out, frames=args.frames,
+                      block_size=args.block_size, search_range=args.search_range,
+                      modes=args.modes, seed=args.seed)
+    report = run_experiment(cfg)
     for row in report.rows:
         print(f"{row.sequence} rp={row.rate_point} {row.mode}: "
               f"mean_sad={row.mean_sad:.2f} psnr={row.pred_psnr_db:.3f} "
@@ -75,7 +72,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_demo_field(args) -> int:
-    cfg = _load(args.config, out=args.out)
+    cfg = load_config(args.config, out=args.out)
     frames = cfg.source.load()
     os.makedirs(cfg.output_dir, exist_ok=True)
     prev_field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
@@ -107,7 +104,7 @@ def cmd_bd_rate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load(args.spec)
+    cfg = load_config(args.spec)
     if cfg.source.trajectory is None:
         raise ConfigError("[input] kind must be synth for the synth command")
     frames, _ = synth_sequence(cfg.source.trajectory, cfg.source.frames,

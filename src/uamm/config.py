@@ -1,26 +1,19 @@
-"""Experiment configuration: one INI-style file, flag overrides on top.
+"""Experiment configuration: one INI-style file, command line flags written into it.
 
 Sections: [input] names the sequence (a yuv file or the synthetic
 generator), [trajectory] configures the generator, [predict] the block
 pipeline, [rate_points] the sweep, [output] where CSVs go, [run] the
 seed. Every value has a default, so a minimal synthetic config is just an
-[input] section with kind, dimensions and a frame count.
+[input] section with kind, dimensions and a frame count. Values are read
+literally: ``%`` has no special meaning.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
-from typing import Optional
 
-from .evaluation import (
-    DEFAULT_RATE_POINTS,
-    MODES,
-    ExperimentConfig,
-    RatePoint,
-    SequenceSource,
-)
+from .evaluation import ExperimentConfig, RatePoint, SequenceSource
 from .sequences import TrajectorySpec
 
 
@@ -28,31 +21,15 @@ class ConfigError(ValueError):
     """A configuration value is missing or malformed."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one `predict` run needs."""
-
-    source: SequenceSource
-    block_size: int = 16
-    search_range: int = 8
-    delta_max: int = 32
-    modes: tuple[str, ...] = MODES
-    rate_points: tuple[RatePoint, ...] = DEFAULT_RATE_POINTS
-    output_dir: str = "out"
-    write_rd_curves: bool = False
-    seed: int = 0
-    # (patch_seed, background_seed) as [trajectory] gives them; None follows seed.
-    trajectory_seeds: tuple[Optional[int], Optional[int]] = (None, None)
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            sequences=(self.source,),
-            rate_points=self.rate_points,
-            modes=self.modes,
-            delta_max=self.delta_max,
-            output_dir=self.output_dir,
-            write_rd_curves=self.write_rd_curves,
-        )
+# The (section, key) each command line flag replaces.
+FLAG_KEYS = {
+    "out": ("output", "dir"),
+    "frames": ("input", "frames"),
+    "block_size": ("predict", "block_size"),
+    "search_range": ("predict", "search_range"),
+    "modes": ("predict", "modes"),
+    "seed": ("run", "seed"),
+}
 
 
 def _get(parser, section, key, conv, default, where):
@@ -85,63 +62,45 @@ def _to_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-def _parse_modes(raw: str) -> tuple[str, ...]:
-    modes = tuple(_to_list(raw))
-    if not modes:
-        raise ConfigError("[predict] modes must name at least one mode")
-    for m in modes:
-        if m not in MODES:
-            raise ConfigError(
-                f"[predict] modes: unknown mode {m!r}, valid modes: {', '.join(MODES)}"
-            )
-    return modes
+def _build(where: str, cls, **kwargs):
+    """``cls(**kwargs)``, with its validation error reported against ``where``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
-def _seeded(trajectory: TrajectorySpec, explicit: tuple[Optional[int], Optional[int]],
-            seed: int) -> TrajectorySpec:
-    """Resolve the texture seeds: explicit values win, else seed and seed + 1."""
-    patch_seed, background_seed = explicit
-    return replace(
-        trajectory,
-        patch_seed=seed if patch_seed is None else patch_seed,
-        background_seed=seed + 1 if background_seed is None else background_seed,
-    )
-
-
-def _parse_trajectory(
-    parser: configparser.ConfigParser, seed: int
-) -> tuple[TrajectorySpec, tuple[Optional[int], Optional[int]]]:
-    """The [trajectory] section, plus the texture seeds it sets explicitly."""
+def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> TrajectorySpec:
+    """The [trajectory] section; texture seeds not given follow ``seed``."""
     sec = "trajectory"
     if not parser.has_section(sec):
         raise ConfigError("[trajectory] section is required for synthetic input")
     geti = lambda key, default: _get(parser, sec, key, int, default, "for synthetic input")
-    explicit = (geti("patch_seed", None), geti("background_seed", None))
-    try:
-        spec = TrajectorySpec(
-            start_x=geti("start_x", _REQUIRED),
-            start_y=geti("start_y", _REQUIRED),
-            v0x=geti("v0x", 0),
-            v0y=geti("v0y", 0),
-            ax=geti("ax", 0),
-            ay=geti("ay", 0),
-            patch_width=geti("patch_width", 16),
-            patch_height=geti("patch_height", 16),
-            patch_kind=_get(parser, sec, "patch", str, "noise", ""),
-            patch_value=geti("patch_value", 200),
-            background=_get(parser, sec, "background", str, "flat", ""),
-            background_value=geti("background_value", 128),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[trajectory] {exc}") from None
-    return _seeded(spec, explicit, seed), explicit
+    return _build(
+        "[trajectory]", TrajectorySpec,
+        start_x=geti("start_x", _REQUIRED),
+        start_y=geti("start_y", _REQUIRED),
+        v0x=geti("v0x", 0),
+        v0y=geti("v0y", 0),
+        ax=geti("ax", 0),
+        ay=geti("ay", 0),
+        patch_width=geti("patch_width", 16),
+        patch_height=geti("patch_height", 16),
+        patch_kind=_get(parser, sec, "patch", str, "noise", ""),
+        patch_value=geti("patch_value", 200),
+        patch_seed=geti("patch_seed", seed),
+        background=_get(parser, sec, "background", str, "flat", ""),
+        background_value=geti("background_value", 128),
+        background_seed=geti("background_seed", seed + 1),
+    )
 
 
 def _parse_rate_points(parser: configparser.ConfigParser,
                        block_size: int, search_range: int) -> tuple[RatePoint, ...]:
     sec = "rate_points"
     if not parser.has_section(sec):
-        return (RatePoint("base", block_size, search_range),)
+        return (_build("[predict]", RatePoint, label="base", block_size=block_size,
+                       search_range=search_range),)
     labels = _to_list(_get(parser, sec, "labels", str, _REQUIRED, "in [rate_points]"))
     sizes = _to_list(_get(parser, sec, "block_sizes", str, _REQUIRED, "in [rate_points]"))
     ranges = _to_list(_get(parser, sec, "search_ranges", str,
@@ -160,15 +119,31 @@ def _parse_rate_points(parser: configparser.ConfigParser,
         raise ConfigError(f"[rate_points] {exc}") from None
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a config file. Raises FileNotFoundError or ConfigError."""
+def load_config(path: str, **flags) -> ExperimentConfig:
+    """Parse a config file into the config of one run.
+
+    Each flag that is not None (``out``, ``frames``, ``block_size``,
+    ``search_range``, ``modes``, ``seed``) is first written over its key
+    in the file, see ``FLAG_KEYS``; a block size or search range flag also
+    drops [rate_points], leaving the one ``base`` point of [predict].
+    Raises FileNotFoundError or ConfigError.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for name, value in flags.items():
+        if value is None:
+            continue
+        section, key = FLAG_KEYS[name]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, str(value))
+        if name in ("block_size", "search_range"):
+            parser.remove_section("rate_points")
 
     if not parser.has_section("input"):
         raise ConfigError("[input] section is required")
@@ -178,75 +153,32 @@ def load_config(path: str) -> RunConfig:
     width = _get(parser, "input", "width", int, _REQUIRED, "")
     height = _get(parser, "input", "height", int, _REQUIRED, "")
     frames = _get(parser, "input", "frames", int, _REQUIRED, "")
-    seed = _get(parser, "run", "seed", int, 0, "") if parser.has_section("run") else 0
 
     if kind == "yuv":
         seq_path = _get(parser, "input", "path", str, _REQUIRED, "for yuv input")
         default_name = os.path.splitext(os.path.basename(seq_path))[0]
-        trajectory, trajectory_seeds = None, (None, None)
+        trajectory = None
     else:
         seq_path = None
         default_name = "synthetic"
-        trajectory, trajectory_seeds = _parse_trajectory(parser, seed)
-    name = _get(parser, "input", "name", str, default_name, "")
+        trajectory = _parse_trajectory(parser, _get(parser, "run", "seed", int, 0, ""))
+    source = _build("[input]", SequenceSource,
+                    name=_get(parser, "input", "name", str, default_name, ""),
+                    width=width, height=height, frames=frames, kind=kind,
+                    path=seq_path, trajectory=trajectory)
 
-    try:
-        source = SequenceSource(name=name, width=width, height=height,
-                                frames=frames, kind=kind, path=seq_path,
-                                trajectory=trajectory)
-    except ValueError as exc:
-        raise ConfigError(f"[input] {exc}") from None
-
-    block_size = _get(parser, "predict", "block_size", int, 16, "")
-    search_range = _get(parser, "predict", "search_range", int, 8, "")
-    delta_max = _get(parser, "predict", "delta_max", int, 32, "")
-    modes = (_parse_modes(parser.get("predict", "modes"))
-             if parser.has_option("predict", "modes") else MODES)
-
-    return RunConfig(
+    block_size = _get(parser, "predict", "block_size", int, ExperimentConfig.block_size, "")
+    search_range = _get(parser, "predict", "search_range", int,
+                        ExperimentConfig.search_range, "")
+    return _build(
+        f"{path}:", ExperimentConfig,
         source=source,
+        rate_points=_parse_rate_points(parser, block_size, search_range),
+        modes=tuple(_to_list(_get(parser, "predict", "modes", str,
+                                  ", ".join(ExperimentConfig.modes), ""))),
+        delta_max=_get(parser, "predict", "delta_max", int, ExperimentConfig.delta_max, ""),
         block_size=block_size,
         search_range=search_range,
-        delta_max=delta_max,
-        modes=modes,
-        rate_points=_parse_rate_points(parser, block_size, search_range),
         output_dir=_get(parser, "output", "dir", str, "out", ""),
         write_rd_curves=_get(parser, "output", "write_rd_curves", _to_bool, False, ""),
-        seed=seed,
-        trajectory_seeds=trajectory_seeds,
     )
-
-
-def apply_overrides(
-    cfg: RunConfig,
-    out: Optional[str] = None,
-    frames: Optional[int] = None,
-    block_size: Optional[int] = None,
-    search_range: Optional[int] = None,
-    modes: Optional[str] = None,
-    seed: Optional[int] = None,
-) -> RunConfig:
-    """Command line flags win over file values."""
-    if frames is not None:
-        try:
-            cfg = replace(cfg, source=replace(cfg.source, frames=frames))
-        except ValueError as exc:
-            raise ConfigError(f"--frames: {exc}") from None
-    if block_size is not None or search_range is not None:
-        bs = block_size if block_size is not None else cfg.block_size
-        sr = search_range if search_range is not None else cfg.search_range
-        try:
-            cfg = replace(cfg, block_size=bs, search_range=sr,
-                          rate_points=(RatePoint("base", bs, sr),))
-        except ValueError as exc:
-            raise ConfigError(f"block size / search range: {exc}") from None
-    if modes is not None:
-        cfg = replace(cfg, modes=_parse_modes(modes))
-    if out is not None:
-        cfg = replace(cfg, output_dir=out)
-    if seed is not None:
-        trajectory = cfg.source.trajectory
-        if trajectory is not None:
-            trajectory = _seeded(trajectory, cfg.trajectory_seeds, seed)
-        cfg = replace(cfg, seed=seed, source=replace(cfg.source, trajectory=trajectory))
-    return cfg

@@ -27,8 +27,14 @@ import numpy as np
 
 from .kinematics import MotionVector
 from .motion_field import CELL_SIZE, MotionField, derive_field_params
-from .predictor import estimate_field, predict_uamm, predict_uniform
-from .sequences import FrameBuffer, TrajectorySpec, read_yuv, synth_sequence
+from .predictor import DEFAULT_DELTA_MAX, estimate_field, predict_uamm, predict_uniform
+from .sequences import (
+    FrameBuffer,
+    TrajectorySpec,
+    read_yuv,
+    synth_sequence,
+    trajectory_positions,
+)
 
 MODES = ("uniform", "uamm")
 
@@ -124,20 +130,28 @@ class SequenceSource:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.frames < 2:
             raise ValueError(f"need at least 2 frames to predict, got {self.frames}")
-        if self.width % 4 or self.height % 4:
-            raise ValueError(
-                f"frame dimensions must be multiples of 4, got {self.width}x{self.height}"
-            )
+        if min(self.width, self.height) < 4 or self.width % 4 or self.height % 4:
+            raise ValueError(f"frame dimensions must be positive multiples of 4, "
+                             f"got {self.width}x{self.height}")
         if self.kind == "yuv" and not self.path:
             raise ValueError("yuv sequence needs a path")
-        if self.kind == "synth" and self.trajectory is None:
-            raise ValueError("synthetic sequence needs a trajectory")
+        if self.kind == "synth":
+            if self.trajectory is None:
+                raise ValueError("synthetic sequence needs a trajectory")
+            trajectory_positions(self.trajectory, self.frames, self.width, self.height)
 
     def load(self) -> list[FrameBuffer]:
         if self.kind == "yuv":
             return read_yuv(self.path, self.width, self.height, self.frames)
         frames, _ = synth_sequence(self.trajectory, self.frames, self.width, self.height)
         return frames
+
+
+def _check_block(block_size: int, search_range: int) -> None:
+    if block_size < 4 or block_size % 4:
+        raise ValueError(f"block size must be a multiple of 4, got {block_size}")
+    if search_range < 0:
+        raise ValueError(f"search range must be non-negative, got {search_range}")
 
 
 @dataclass(frozen=True)
@@ -149,35 +163,38 @@ class RatePoint:
     search_range: int
 
     def __post_init__(self):
-        if self.block_size < 4 or self.block_size % 4:
-            raise ValueError(f"block size must be a multiple of 4, got {self.block_size}")
-        if self.search_range < 0:
-            raise ValueError(f"search range must be non-negative, got {self.search_range}")
-
-
-DEFAULT_RATE_POINTS = (
-    RatePoint("22", 8, 8),
-    RatePoint("27", 16, 8),
-    RatePoint("32", 32, 8),
-    RatePoint("37", 64, 8),
-)
+        _check_block(self.block_size, self.search_range)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    sequences: tuple[SequenceSource, ...]
-    rate_points: tuple[RatePoint, ...] = DEFAULT_RATE_POINTS
+    """One run: a sequence, the rate points to sweep, the modes to compare.
+
+    ``block_size`` and ``search_range`` are the single operating point
+    that ``demo-field`` estimates its fields at. Without an ``output_dir``
+    nothing is written.
+    """
+
+    source: SequenceSource
+    rate_points: tuple[RatePoint, ...]
     modes: tuple[str, ...] = MODES
-    delta_max: int = 32
+    delta_max: int = DEFAULT_DELTA_MAX
+    block_size: int = 16
+    search_range: int = 8
     output_dir: Optional[str] = None
     write_rd_curves: bool = False
 
     def __post_init__(self):
+        _check_block(self.block_size, self.search_range)
         if not self.modes:
             raise ValueError("at least one mode is required")
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}, valid modes: {', '.join(MODES)}")
+        if not self.rate_points:
+            raise ValueError("at least one rate point is required")
+        if self.delta_max < 0:
+            raise ValueError(f"delta_max must be non-negative, got {self.delta_max}")
         labels = [rp.label for rp in self.rate_points]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate rate point labels: {labels}")
@@ -223,13 +240,14 @@ def _run_rate_point(
     width, height = frames[0].width, frames[0].height
     tallies = {m: _ModeTally() for m in modes}
 
-    raw_fields = [MotionField.empty(frames[0].poc, width, height)]
+    empty = MotionField.empty(frames[0].poc, width, height)
+    older, newer = empty, empty        # the fields searched for frames k-2, k-1
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
         # Parameters need two searched fields, and only the uamm mode reads them.
-        ref_field = raw_fields[0]
+        ref_field = empty
         if "uamm" in modes and k >= 2:
-            ref_field = derive_field_params(raw_fields[k - 1], raw_fields[k - 2])
+            ref_field = derive_field_params(newer, older)
 
         field_k, searched = estimate_field(src, ref, rp.block_size, rp.search_range)
         pred_frames = {m: np.empty((height, width), dtype=np.uint8) for m in modes}
@@ -258,48 +276,44 @@ def _run_rate_point(
                                block.x:block.x + block.w] = result.pred_block
         for m in modes:
             tallies[m].frame_psnrs.append(psnr(src.luma, pred_frames[m]))
-        raw_fields.append(field_k)
+        older, newer = newer, field_k
     return tallies
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every sequence at every rate point in every mode.
+    """Run the sequence at every rate point in every mode.
 
     Returns the report and, when an output directory is configured, writes
     report.csv, bd_summary.csv and optional RD curve dumps there. Output
     is a pure function of the config: no timestamps, stable ordering.
     """
     report = ExperimentReport()
-    curves: dict[tuple[str, str], list[RdPoint]] = {}
-    for source in config.sequences:
-        frames = source.load()
-        for rp in config.rate_points:
-            tallies = _run_rate_point(frames, rp, config.modes, config.delta_max)
-            for m in config.modes:
-                t = tallies[m]
-                mean_sad = t.sad_total / t.blocks
-                mean_psnr = (sum(t.frame_psnrs) / len(t.frame_psnrs)
-                             if t.frame_psnrs else math.inf)
-                rate_proxy = t.mv_bits + t.residual_bits
-                corrected_pct = 100.0 * t.corrected / t.subblocks if t.subblocks else 0.0
-                report.rows.append(ReportRow(
-                    sequence=source.name,
-                    rate_point=rp.label,
-                    mode=m,
-                    mean_sad=mean_sad,
-                    pred_psnr_db=mean_psnr,
-                    rate_proxy=rate_proxy,
-                    corrected_pct=corrected_pct,
-                ))
-                if rate_proxy > 0:
-                    curves.setdefault((source.name, m), []).append(
-                        RdPoint(rate_proxy, mean_psnr))
+    name = config.source.name
+    curves: dict[str, list[RdPoint]] = {m: [] for m in config.modes}
+    frames = config.source.load()
+    for rp in config.rate_points:
+        tallies = _run_rate_point(frames, rp, config.modes, config.delta_max)
+        for m in config.modes:
+            t = tallies[m]
+            mean_sad = t.sad_total / t.blocks
+            mean_psnr = (sum(t.frame_psnrs) / len(t.frame_psnrs)
+                         if t.frame_psnrs else math.inf)
+            rate_proxy = t.mv_bits + t.residual_bits
+            corrected_pct = 100.0 * t.corrected / t.subblocks if t.subblocks else 0.0
+            report.rows.append(ReportRow(
+                sequence=name,
+                rate_point=rp.label,
+                mode=m,
+                mean_sad=mean_sad,
+                pred_psnr_db=mean_psnr,
+                rate_proxy=rate_proxy,
+                corrected_pct=corrected_pct,
+            ))
+            if rate_proxy > 0:
+                curves[m].append(RdPoint(rate_proxy, mean_psnr))
 
     if "uniform" in config.modes and "uamm" in config.modes:
-        for source in config.sequences:
-            report.bd_summary.append(
-                (source.name, _try_bd(curves.get((source.name, "uniform"), []),
-                                      curves.get((source.name, "uamm"), []))))
+        report.bd_summary.append((name, _try_bd(curves["uniform"], curves["uamm"])))
 
     _maybe_write(config, report)
     return report

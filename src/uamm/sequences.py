@@ -169,16 +169,13 @@ def _footprint(pos: tuple[int, int], w: int, h: int) -> tuple[int, int, int, int
     return ix, iy, w + (1 if fx else 0), h + (1 if fy else 0)
 
 
-def synth_sequence(
+def trajectory_positions(
     spec: TrajectorySpec, n_frames: int, width: int, height: int
-) -> tuple[list[FrameBuffer], list[MotionVector]]:
-    """Generate frames plus the exact per-frame object displacements.
+) -> list[tuple[int, int]]:
+    """The patch position at each of ``n_frames`` frames, in 1/16-pel units.
 
-    The returned vectors are position differences: ``mvs[k-1]`` is the
-    displacement of the object from frame k-1 to frame k. Predictors that
-    fetch the reference block use the negated value. Raises ValueError if
-    the object ever leaves the frame or the trajectory falls off the
-    1/16-pel grid.
+    Raises ValueError if the object ever leaves the frame or the
+    trajectory falls off the 1/16-pel grid.
     """
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
@@ -195,7 +192,20 @@ def synth_sequence(
                 f"object leaves the {width}x{height} frame at frame {k} "
                 f"(footprint {fw}x{fh} at pixel ({fx}, {fy}))"
             )
+    return positions
 
+
+def synth_sequence(
+    spec: TrajectorySpec, n_frames: int, width: int, height: int
+) -> tuple[list[FrameBuffer], list[MotionVector]]:
+    """Generate frames plus the exact per-frame object displacements.
+
+    The returned vectors are position differences: ``mvs[k-1]`` is the
+    displacement of the object from frame k-1 to frame k. Predictors that
+    fetch the reference block use the negated value. Raises ValueError
+    where ``trajectory_positions`` does.
+    """
+    positions = trajectory_positions(spec, n_frames, width, height)
     background = _make_background(spec, width, height)
     patch = _make_patch(spec)
     ch, cw = height // 2, width // 2

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from uamm import (
     read_yuv,
     synth_sequence,
 )
-from uamm.config import ConfigError, apply_overrides, load_config
+from uamm.config import ConfigError, load_config
 from uamm.evaluation import RdPoint
 
 MINIMAL = """\
@@ -86,7 +88,9 @@ def test_load_minimal_synthetic_config(tmp_path):
     assert cfg.source.name == "synthetic"
     assert cfg.block_size == 16 and cfg.search_range == 8
     assert cfg.rate_points == (RatePoint("base", 16, 8),)
-    assert cfg.output_dir == "out" and cfg.seed == 0
+    assert cfg.output_dir == "out"
+    assert (cfg.source.trajectory.patch_seed,
+            cfg.source.trajectory.background_seed) == (0, 1)
 
 
 def test_load_full_config(tmp_path):
@@ -97,7 +101,9 @@ def test_load_full_config(tmp_path):
     assert cfg.rate_points == (RatePoint("lo", 8, 6), RatePoint("hi", 16, 8))
     assert cfg.output_dir == "results"
     assert cfg.write_rd_curves is True
-    assert cfg.seed == 11
+    # the file's explicit patch_seed wins; background_seed follows [run] seed
+    assert cfg.source.trajectory.patch_seed == 2
+    assert cfg.source.trajectory.background_seed == 12
 
 
 def test_load_yuv_config_names_after_the_file(tmp_path):
@@ -107,6 +113,15 @@ def test_load_yuv_config_names_after_the_file(tmp_path):
     assert cfg.source.kind == "yuv"
     assert cfg.source.name == "foreman"
     assert cfg.source.path == "clips/foreman.yuv"
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_ini(tmp_path, example))
+    assert cfg.source.trajectory.ax == 32
+    assert cfg.delta_max == 32
+    assert [rp.label for rp in cfg.rate_points] == ["22", "27", "32", "37"]
 
 
 def test_load_missing_file_raises(tmp_path):
@@ -163,13 +178,12 @@ def test_synthetic_input_requires_a_trajectory_section(tmp_path):
 
 
 def test_overrides_replace_frames_and_collapse_rate_points(tmp_path):
-    cfg = load_config(write_ini(tmp_path, FULL))
-    over = apply_overrides(cfg, frames=3, block_size=8, out="elsewhere",
-                           seed=99, modes="uamm")
+    over = load_config(write_ini(tmp_path, FULL), frames=3, block_size=8,
+                       out="elsewhere", seed=99, modes="uamm")
     assert over.source.frames == 3
+    assert over.block_size == 8 and over.search_range == 8
     assert over.rate_points == (RatePoint("base", 8, 8),)
     assert over.output_dir == "elsewhere"
-    assert over.seed == 99
     assert over.modes == ("uamm",)
     # the file's explicit patch_seed wins; background_seed follows the seed
     assert over.source.trajectory.patch_seed == 2
@@ -177,9 +191,19 @@ def test_overrides_replace_frames_and_collapse_rate_points(tmp_path):
 
 
 def test_overrides_reject_invalid_frames(tmp_path):
-    cfg = load_config(write_ini(tmp_path, MINIMAL))
     with pytest.raises(ConfigError):
-        apply_overrides(cfg, frames=1)
+        load_config(write_ini(tmp_path, MINIMAL), frames=1)
+
+
+def test_values_are_read_literally(tmp_path):
+    cfg = write_ini(tmp_path, MINIMAL.replace("kind = synth",
+                                              "kind = synth\nname = 100%")
+                    + "\n[output]\ndir = out%x\n")
+    loaded = load_config(cfg)
+    assert (loaded.source.name, loaded.output_dir) == ("100%", "out%x")
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("100%,")
 
 
 # -------------------------------------------------------------- cli: predict
@@ -228,6 +252,37 @@ def test_predict_bad_mode_exits_2(tmp_path, capsys):
     assert "uniform, uamm" in capsys.readouterr().err
 
 
+# 4 pel a frame: the 16x16 patch fits 4 frames and leaves the 32x32 frame at frame 4
+FAST = MINIMAL.replace("start_y = 16", "start_y = 16\nv0x = 64")
+
+
+@pytest.mark.parametrize("text, flags", [
+    pytest.param(MINIMAL + "\n[predict]\nblock_size = 6\n", [], id="block_size-file"),
+    pytest.param(MINIMAL, ["--block-size", "6"], id="block_size-flag"),
+    pytest.param(MINIMAL + "\n[predict]\nsearch_range = -1\n", [],
+                 id="search_range-file"),
+    pytest.param(MINIMAL, ["--search-range", "-1"], id="search_range-flag"),
+    pytest.param(MINIMAL + "\n[rate_points]\nlabels = a, a\nblock_sizes = 8, 16\n",
+                 [], id="duplicate_labels-file"),
+    pytest.param(MINIMAL + "\n[rate_points]\nlabels =\nblock_sizes =\n", [],
+                 id="no_rate_points-file"),
+    pytest.param(MINIMAL + "\n[predict]\ndelta_max = -5\n", [], id="delta_max-file"),
+    pytest.param(MINIMAL.replace("frames = 4", "frames = 2")
+                 + "\n[predict]\ndelta_max = -5\nmodes = uniform\n", [],
+                 id="delta_max-file-uniform-two-frames"),
+    pytest.param(MINIMAL + "ax = 3\n", [], id="odd_acceleration-file"),
+    pytest.param(FAST.replace("frames = 4", "frames = 6"), [], id="patch_leaves-file"),
+    pytest.param(FAST, ["--frames", "6"], id="patch_leaves-flag"),
+])
+def test_predict_invalid_value_exits_2(tmp_path, capsys, text, flags):
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--config", write_ini(tmp_path, text),
+                   "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_predict_missing_yuv_exits_2(tmp_path, capsys):
     text = (f"[input]\nkind = yuv\npath = {tmp_path}/void.yuv\n"
             "width = 32\nheight = 32\nframes = 3\n")
@@ -270,6 +325,29 @@ def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*/*")}
     assert written == PRESET_DIGESTS
+
+
+def test_traced_cli_reproduces_the_preset_digests(tmp_path):
+    # perfbench/traced_cli.py wraps functions of uamm by name; a rename
+    # under src/ breaks the benchmark's traced runs, and this test
+    root = PRESETS.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    spans = tmp_path / "spans.csv"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans),
+         str(tmp_path / "counts.json"), "predict",
+         "--config", str(PRESETS / "accel_sweep.ini"), "--out", str(tmp_path / "predict")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    written = {f"predict/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "predict").iterdir()}
+    assert written == {k: v for k, v in PRESET_DIGESTS.items()
+                       if k.startswith("predict/")}
+    with open(spans, newline="") as fh:
+        names = {row["name"] for row in csv.DictReader(fh)}
+    assert {"config.load", "sequences.load", "evaluation.run_rate_point",
+            "evaluation.write"} <= names
 
 
 # ----------------------------------------------------------- cli: demo-field

@@ -40,10 +40,10 @@ def accel_source(name="accel", frames=4, size=32):
                                   background="flat", background_value=30))
 
 
-def make_config(tmp_path, sequences, **kw):
+def make_config(tmp_path, source, **kw):
     defaults = dict(rate_points=TWO_POINTS, output_dir=str(tmp_path / "out"))
     defaults.update(kw)
-    return ExperimentConfig(sequences=tuple(sequences), **defaults)
+    return ExperimentConfig(source=source, **defaults)
 
 
 # --------------------------------------------------------------------- psnr
@@ -142,13 +142,14 @@ def test_signed_exp_golomb_code_lengths():
 
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError) as err:
-        ExperimentConfig(sequences=(), modes=("uniform", "hevc"))
+        ExperimentConfig(source=accel_source(), rate_points=TWO_POINTS,
+                         modes=("uniform", "hevc"))
     assert "uniform, uamm" in str(err.value)
 
 
 def test_config_rejects_duplicate_rate_point_labels():
     with pytest.raises(ValueError):
-        ExperimentConfig(sequences=(),
+        ExperimentConfig(source=accel_source(),
                          rate_points=(RatePoint("a", 8, 8),
                                       RatePoint("a", 16, 8)))
 
@@ -161,6 +162,10 @@ def test_source_rejects_too_few_frames():
 def test_source_rejects_unaligned_dimensions():
     with pytest.raises(ValueError):
         accel_source(size=30)
+    for width in (0, -4):
+        with pytest.raises(ValueError):
+            SequenceSource(name="x", width=width, height=32, frames=4,
+                           kind="yuv", path="x.yuv")
 
 
 def test_source_needs_its_backing_data():
@@ -181,34 +186,14 @@ def test_rate_point_validation():
 
 # --------------------------------------------------------------- experiment
 
-def test_experiment_without_sequences_writes_headers(tmp_path):
-    report = run_experiment(make_config(tmp_path, []))
-    assert report.rows == []
-    text = (tmp_path / "out" / "report.csv").read_text()
-    assert text.splitlines() == [
-        "sequence,rate_point,mode,mean_sad,pred_psnr_db,rate_proxy,corrected_pct"]
-    bd = (tmp_path / "out" / "bd_summary.csv").read_text()
-    assert bd.splitlines() == ["sequence,bd_rate_pct"]
-
-
 def test_experiment_is_deterministic(tmp_path):
-    cfg_a = make_config(tmp_path / "a", [accel_source()])
-    cfg_b = make_config(tmp_path / "b", [accel_source()])
+    cfg_a = make_config(tmp_path / "a", accel_source())
+    cfg_b = make_config(tmp_path / "b", accel_source())
     ra, rb = run_experiment(cfg_a), run_experiment(cfg_b)
     assert ra.rows == rb.rows
     csv_a = (tmp_path / "a" / "out" / "report.csv").read_bytes()
     csv_b = (tmp_path / "b" / "out" / "report.csv").read_bytes()
     assert csv_a == csv_b
-
-
-def test_experiment_row_order_follows_the_config(tmp_path):
-    cfg = make_config(tmp_path, [accel_source("s1"), accel_source("s2")])
-    report = run_experiment(cfg)
-    keys = [(r.sequence, r.rate_point, r.mode) for r in report.rows]
-    assert keys == [(s, p, m)
-                    for s in ("s1", "s2")
-                    for p in ("a", "b")
-                    for m in ("uniform", "uamm")]
 
 
 def test_experiment_static_scene_ties_the_modes(tmp_path):
@@ -220,7 +205,7 @@ def test_experiment_static_scene_ties_the_modes(tmp_path):
                                   ax=0, ay=0, patch_kind="noise",
                                   patch_seed=5, background="flat",
                                   background_value=20))
-    report = run_experiment(make_config(tmp_path, [src]))
+    report = run_experiment(make_config(tmp_path, src))
     by_key = {(r.rate_point, r.mode): r for r in report.rows}
     for label in ("a", "b"):
         uni, acc = by_key[(label, "uniform")], by_key[(label, "uamm")]
@@ -232,7 +217,7 @@ def test_experiment_static_scene_ties_the_modes(tmp_path):
 def test_experiment_zero_band_reduces_uamm_to_the_baseline(tmp_path):
     # delta_max 0 pins every sub-block to the searched vector, so the
     # refined mode must reproduce the baseline numbers on any content
-    report = run_experiment(make_config(tmp_path, [accel_source(frames=5)],
+    report = run_experiment(make_config(tmp_path, accel_source(frames=5),
                                         delta_max=0))
     by_key = {(r.rate_point, r.mode): r for r in report.rows}
     for label in ("a", "b"):
@@ -243,7 +228,7 @@ def test_experiment_zero_band_reduces_uamm_to_the_baseline(tmp_path):
 
 
 def test_experiment_acceleration_engages_the_correction(tmp_path):
-    report = run_experiment(make_config(tmp_path, [accel_source(frames=6)]))
+    report = run_experiment(make_config(tmp_path, accel_source(frames=6)))
     by_mode = {}
     for r in report.rows:
         by_mode.setdefault(r.mode, []).append(r)
@@ -261,9 +246,9 @@ def test_experiment_reads_yuv_sources(tmp_path):
     frames, _ = synth_sequence(spec, 4, 32, 32)
     path = tmp_path / "clip.yuv"
     write_yuv(frames, str(path))
-    cfg = make_config(tmp_path, [SequenceSource(name="clip", width=32,
-                                                height=32, frames=4,
-                                                kind="yuv", path=str(path))])
+    cfg = make_config(tmp_path, SequenceSource(name="clip", width=32,
+                                               height=32, frames=4,
+                                               kind="yuv", path=str(path)))
     report = run_experiment(cfg)
     assert {r.sequence for r in report.rows} == {"clip"}
     assert len(report.rows) == 4  # 2 rate points x 2 modes
@@ -271,16 +256,16 @@ def test_experiment_reads_yuv_sources(tmp_path):
 
 def test_experiment_missing_yuv_names_the_file(tmp_path):
     missing = str(tmp_path / "nope.yuv")
-    cfg = make_config(tmp_path, [SequenceSource(name="x", width=32, height=32,
-                                                frames=4, kind="yuv",
-                                                path=missing)])
+    cfg = make_config(tmp_path, SequenceSource(name="x", width=32, height=32,
+                                               frames=4, kind="yuv",
+                                               path=missing))
     with pytest.raises(FileNotFoundError) as err:
         run_experiment(cfg)
     assert "nope.yuv" in str(err.value)
 
 
 def test_experiment_bd_summary_is_na_below_four_points(tmp_path):
-    run_experiment(make_config(tmp_path, [accel_source()]))
+    run_experiment(make_config(tmp_path, accel_source()))
     lines = (tmp_path / "out" / "bd_summary.csv").read_text().splitlines()
     assert lines[1].split(",") == ["accel", "NA"]
 
@@ -290,14 +275,14 @@ def test_experiment_uniform_only_derives_no_parameters(tmp_path, monkeypatch):
         raise AssertionError("uniform-only runs never read derived parameters")
 
     monkeypatch.setattr(evaluation, "derive_field_params", refuse)
-    report = run_experiment(make_config(tmp_path, [accel_source(frames=5)],
+    report = run_experiment(make_config(tmp_path, accel_source(frames=5),
                                         modes=("uniform",)))
     assert [(r.rate_point, r.mode) for r in report.rows] == [
         ("a", "uniform"), ("b", "uniform")]
 
 
 def test_experiment_writes_rd_curves_on_request(tmp_path):
-    cfg = make_config(tmp_path, [accel_source("clip")], write_rd_curves=True)
+    cfg = make_config(tmp_path, accel_source("clip"), write_rd_curves=True)
     run_experiment(cfg)
     names = sorted(os.listdir(tmp_path / "out"))
     assert "rd_clip_uniform.dat" in names
