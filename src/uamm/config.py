@@ -5,7 +5,8 @@ generator), [trajectory] configures the generator, [predict] the block
 pipeline, [rate_points] the sweep, [output] where CSVs go, [run] the
 seed. Every value has a default, so a minimal synthetic config is just an
 [input] section with kind, dimensions and a frame count. Values are read
-literally: ``%`` has no special meaning.
+literally: ``%`` has no special meaning. A section or key outside the
+format (``KNOWN_KEYS``) is an error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ from .sequences import TrajectorySpec
 class ConfigError(ValueError):
     """A configuration value is missing or malformed."""
 
+
+# Every section and key of the format, whatever the input kind; anything
+# else is an error rather than a silently ignored typo.
+KNOWN_KEYS = {
+    "input": {"kind", "width", "height", "frames", "name", "path"},
+    "trajectory": {"start_x", "start_y", "v0x", "v0y", "ax", "ay", "patch_width",
+                   "patch_height", "patch", "patch_value", "patch_seed", "background",
+                   "background_value", "background_seed"},
+    "predict": {"block_size", "search_range", "delta_max", "modes"},
+    "rate_points": {"labels", "block_sizes", "search_ranges"},
+    "output": {"dir", "write_rd_curves"},
+    "run": {"seed"},
+}
 
 # The (section, key) each command line flag replaces.
 FLAG_KEYS = {
@@ -126,7 +140,8 @@ def load_config(path: str, **flags) -> ExperimentConfig:
     ``search_range``, ``modes``, ``seed``) is first written over its key
     in the file, see ``FLAG_KEYS``; a block size or search range flag also
     drops [rate_points], leaving the one ``base`` point of [predict].
-    Raises FileNotFoundError or ConfigError.
+    Raises FileNotFoundError or ConfigError, also for an unknown section
+    or key.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
@@ -135,6 +150,14 @@ def load_config(path: str, **flags) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if parser.defaults():  # keys there would show up in every section
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in KNOWN_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in KNOWN_KEYS[section]:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
     for name, value in flags.items():
         if value is None:
             continue

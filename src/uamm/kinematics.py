@@ -137,20 +137,23 @@ def div_round_half_away(num: int, den: int) -> int:
     return -((-num + den // 2) // den)
 
 
-def div_round_half_away_array(num: np.ndarray, den: int) -> np.ndarray:
-    """``div_round_half_away`` elementwise over an int64 array.
+def div_round_half_away_array(num: np.ndarray, den) -> np.ndarray:
+    """``div_round_half_away`` elementwise over an integer array, in int64.
 
-    Entries must lie within +-(2**63 - 1), which callers check beforehand.
-    Kept apart from the scalar function so its per-cell callers pay no
-    type dispatch.
+    ``den`` is a positive int or int64 array broadcasting against ``num``.
+    Entries of ``num`` must lie within +-(2**63 - 1), which callers check
+    beforehand. Kept apart from the scalar function so its scalar callers
+    pay no type dispatch.
     """
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
+    if np.any(den <= 0):
+        raise ValueError(f"denominator must be positive, got {np.min(den)}")
+    num = np.asarray(num, dtype=np.int64)
     # |num| = q*den + r rounds up from r >= ceil(den/2), with no sum that
     # could leave the int64 range.
-    q, r = np.divmod(np.abs(num), den)
-    mag = q + (r >= den - den // 2)
-    return np.where(num < 0, -mag, mag)
+    mag, r = np.divmod(np.abs(num), den)
+    mag += r >= den - den // 2
+    mag *= np.sign(num)
+    return mag
 
 
 def displacement(p: UammParams, t: TimeInterval) -> MotionVector:
@@ -176,9 +179,12 @@ def velocity_at(p: UammParams, t: TimeInterval) -> tuple[int, int]:
     return vx, vy
 
 
-def _derive_scaled(
-    mv0x: int, mv0y: int, mv1x: int, mv1y: int, t0: int, t1: int
-) -> tuple[int, int, int, int]:
+def _max_abs(*arrays: np.ndarray) -> int:
+    """Largest magnitude in integer arrays as an int, 0 if empty (no abs() wrap)."""
+    return max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
+
+
+def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1: int):
     """Solve the two-segment system for scaled (v0, a), one rounding each.
 
     Eliminating v1 from
@@ -190,17 +196,30 @@ def _derive_scaled(
     where the v0 form is the a-substituted fraction over the common
     denominator, so each parameter is the exact rational solution rounded
     once rather than a rounded value fed through a second division.
+
+    The vectors and ``t0`` are ints, or integer arrays of one shape solved
+    elementwise in int64, one axis at a time; returns (v0x, v0y, ax, ay).
+    An array call first checks that T*t1*(T+t1), 2*PARAM_SCALE*(M1*T + M0*t1)
+    and PARAM_SCALE*(M0*t1*(2*T+t1) + M1*T*T) fit in int64, with M0, M1, T
+    the largest |mv0|, |mv1|, |t0|, and raises OverflowError otherwise.
     """
+    array = isinstance(mv0x, np.ndarray)
+    if array:
+        m0, m1, tm, s1 = _max_abs(mv0x, mv0y), _max_abs(mv1x, mv1y), _max_abs(t0), abs(t1)
+        _check_i64(tm * s1 * (tm + s1), 2 * PARAM_SCALE * (m1 * tm + m0 * s1),
+                   PARAM_SCALE * (m0 * s1 * (2 * tm + s1) + m1 * tm * tm))
+        t0 = np.asarray(t0, dtype=np.int64)
+    div = div_round_half_away_array if array else div_round_half_away
     den = t0 * t1 * (t0 + t1)
-    na_x = 2 * PARAM_SCALE * (mv1x * t0 - mv0x * t1)
-    na_y = 2 * PARAM_SCALE * (mv1y * t0 - mv0y * t1)
-    nv_x = PARAM_SCALE * (mv0x * t1 * (2 * t0 + t1) - mv1x * t0 * t0)
-    nv_y = PARAM_SCALE * (mv0y * t1 * (2 * t0 + t1) - mv1y * t0 * t0)
-    _check_i64(na_x, na_y, nv_x, nv_y)
-    ax = div_round_half_away(na_x, den)
-    ay = div_round_half_away(na_y, den)
-    v0x = div_round_half_away(nv_x, den)
-    v0y = div_round_half_away(nv_y, den)
+    def solve_axis(mv0, mv1):
+        if array:
+            mv0, mv1 = mv0.astype(np.int64), mv1.astype(np.int64)
+        nv = PARAM_SCALE * (mv0 * t1 * (2 * t0 + t1) - mv1 * t0 * t0)
+        na = 2 * PARAM_SCALE * (mv1 * t0 - mv0 * t1)
+        if not array:
+            _check_i64(nv, na)
+        return div(nv, den), div(na, den)
+    (v0x, ax), (v0y, ay) = solve_axis(mv0x, mv1x), solve_axis(mv0y, mv1y)
     return v0x, v0y, ax, ay
 
 
@@ -216,11 +235,6 @@ def derive_params(
     """
     v0x, v0y, ax, ay = _derive_scaled(mv0.x, mv0.y, mv1.x, mv1.y, t0.ticks, t1.ticks)
     return UammParams.classify(v0x, v0y, ax, ay)
-
-
-def _max_abs(*arrays: np.ndarray) -> int:
-    """Largest magnitude in int64 arrays, as an int (no abs() wrap-around)."""
-    return max(max(int(a.max()), -int(a.min())) for a in arrays)
 
 
 def _extrapolate_scaled(v0x, v0y, ax, ay, t0: int, t1: int, t2: int):

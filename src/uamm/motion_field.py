@@ -15,19 +15,19 @@ a linear model; cells without any vector stay unavailable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .kinematics import (
-    PARAM_SCALE,
     MotionVector,
     ParamKind,
     TimeInterval,
     UammParams,
     _derive_scaled,
     div_round_half_away,
+    div_round_half_away_array,
 )
 
 if TYPE_CHECKING:
@@ -131,6 +131,18 @@ def field_from_global_mv(
     return out
 
 
+def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mvy):
+    """Index pair (cy, cx) into ``field``'s planes, [row, col] over the 4x4
+    cells of the pixel rect (x, y, w, h): each cell center moved by the
+    vector rounded to integer pixels, clamped into the frame. The vector
+    (mvx, mvy) is one pair of ints, or one pair of (rows, cols) planes."""
+    div = div_round_half_away_array if isinstance(mvx, np.ndarray) else div_round_half_away
+    px = np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE) + div(mvx, 16)
+    py = np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None] + div(mvy, 16)
+    return (np.minimum(np.maximum(py, 0), field.height - 1) // CELL_SIZE,
+            np.minimum(np.maximum(px, 0), field.width - 1) // CELL_SIZE)
+
+
 def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
     """Fill the parameter planes of ``curr`` by chaining into ``prev``.
 
@@ -139,52 +151,31 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
     rounded to integer pixels, clamped into the frame) selects a cell of
     ``prev``; a vector there completes the two-segment derivation,
     otherwise the cell falls back to a linear model with the velocity that
-    reproduces its own vector.
+    reproduces its own vector. The whole grid is solved in one array pass.
     """
     if curr.poc <= prev.poc:
         raise ValueError(f"need curr.poc > prev.poc, got {curr.poc} <= {prev.poc}")
     t1 = curr.poc - prev.poc
 
-    v0 = np.zeros_like(curr.v0)
-    acc = np.zeros_like(curr.acc)
-    kind = np.zeros_like(curr.kind)
-
-    for cy in range(curr.cells_y):
-        for cx in range(curr.cells_x):
-            if not curr.mv_valid[cy, cx]:
-                continue
-            mv1x = int(curr.mv[cy, cx, 0])
-            mv1y = int(curr.mv[cy, cx, 1])
-            px = cx * CELL_SIZE + CELL_SIZE // 2 + div_round_half_away(mv1x, 16)
-            py = cy * CELL_SIZE + CELL_SIZE // 2 + div_round_half_away(mv1y, 16)
-            px = min(max(px, 0), prev.width - 1)
-            py = min(max(py, 0), prev.height - 1)
-            pcx, pcy = px // CELL_SIZE, py // CELL_SIZE
-            if prev.mv_valid[pcy, pcx]:
-                t0 = int(prev.ref_distance[pcy, pcx])
-                mv0x = int(prev.mv[pcy, pcx, 0])
-                mv0y = int(prev.mv[pcy, pcx, 1])
-                dv0x, dv0y, dax, day = _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1)
-            else:
-                dv0x = div_round_half_away(mv1x * PARAM_SCALE, t1)
-                dv0y = div_round_half_away(mv1y * PARAM_SCALE, t1)
-                dax = day = 0
-            p = UammParams.classify(dv0x, dv0y, dax, day)
-            v0[cy, cx] = (p.v0x, p.v0y)
-            acc[cy, cx] = (p.ax, p.ay)
-            kind[cy, cx] = int(p.kind)
-
-    return MotionField(
-        poc=curr.poc,
-        width=curr.width,
-        height=curr.height,
-        mv=curr.mv.copy(),
-        mv_valid=curr.mv_valid.copy(),
-        ref_distance=curr.ref_distance.copy(),
-        v0=v0,
-        acc=acc,
-        kind=kind,
-    )
+    valid = curr.mv_valid
+    src = tuple(c[valid] for c in _displaced_cells(
+        prev, 0, 0, curr.cells_x * CELL_SIZE, curr.cells_y * CELL_SIZE,
+        curr.mv[..., 0], curr.mv[..., 1]))
+    chained = prev.mv_valid[src]
+    mv1 = curr.mv[valid]
+    # A broken chain repeats the cell's own segment (mv0 = mv1, t0 = t1): the
+    # solve is then exactly zero acceleration and velocity mv1/t1, rounded once.
+    mv0 = np.where(chained[:, None], prev.mv[src], mv1)
+    t0 = np.where(chained, prev.ref_distance[src], t1)
+    solved = _derive_scaled(mv0[:, 0], mv0[:, 1], mv1[:, 0], mv1[:, 1], t0, t1)
+    out = replace(curr, mv=curr.mv.copy(), mv_valid=valid.copy(),
+                  ref_distance=curr.ref_distance.copy(), v0=np.zeros_like(curr.v0),
+                  acc=np.zeros_like(curr.acc), kind=np.zeros_like(curr.kind))
+    out.v0[valid, 0], out.v0[valid, 1], out.acc[valid, 0], out.acc[valid, 1] = solved
+    out.kind[valid] = ParamKind.CONSTANT
+    out.kind[out.v0.any(axis=2)] = ParamKind.LINEAR
+    out.kind[out.acc.any(axis=2)] = ParamKind.ACCELERATED
+    return out
 
 
 def gather_params(
@@ -198,14 +189,8 @@ def gather_params(
     [row, col] over the sub-blocks: (rows, cols, 2) int64 twice, then
     (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE).
     """
-    center = CELL_SIZE // 2
-    px = np.arange(block.x + center, block.x + block.w, CELL_SIZE)
-    py = np.arange(block.y + center, block.y + block.h, CELL_SIZE)
-    px += div_round_half_away(mv.x, 16)
-    py += div_round_half_away(mv.y, 16)
-    cx = np.minimum(np.maximum(px, 0), ref_field.width - 1) // CELL_SIZE
-    cy = (np.minimum(np.maximum(py, 0), ref_field.height - 1) // CELL_SIZE)[:, None]
-    return ref_field.v0[cy, cx], ref_field.acc[cy, cx], ref_field.kind[cy, cx]
+    cells = _displaced_cells(ref_field, block.x, block.y, block.w, block.h, mv.x, mv.y)
+    return ref_field.v0[cells], ref_field.acc[cells], ref_field.kind[cells]
 
 
 def inherit_params(

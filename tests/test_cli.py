@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -122,6 +123,13 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg.source.trajectory.ax == 32
     assert cfg.delta_max == 32
     assert [rp.label for rp in cfg.rate_points] == ["22", "27", "32", "37"]
+
+
+def test_known_keys_load_whatever_the_input_kind(tmp_path):
+    yuv = "[input]\nkind = yuv\npath = clip.yuv\nwidth = 32\nheight = 32\nframes = 3\n"
+    assert load_config(write_ini(tmp_path, yuv + "\n[trajectory]\nstart_x = 0\n"))
+    assert load_config(write_ini(tmp_path, MINIMAL.replace("kind = synth",
+                                                           "kind = synth\npath = x.yuv")))
 
 
 def test_load_missing_file_raises(tmp_path):
@@ -283,6 +291,21 @@ def test_predict_invalid_value_exits_2(tmp_path, capsys, text, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, named", [
+    pytest.param("[predict]\nblock_szie = 8\n", "[predict] block_szie", id="key"),
+    pytest.param("[predcit]\nblock_size = 8\n", "[predcit]", id="section"),
+    pytest.param("[DEFAULT]\nseed = 1\n", "[DEFAULT]", id="default-section"),
+])
+def test_predict_unknown_section_or_key_exits_2(tmp_path, capsys, extra, named):
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--config", write_ini(tmp_path, MINIMAL + "\n" + extra),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
 def test_predict_missing_yuv_exits_2(tmp_path, capsys):
     text = (f"[input]\nkind = yuv\npath = {tmp_path}/void.yuv\n"
             "width = 32\nheight = 32\nframes = 3\n")
@@ -327,27 +350,42 @@ def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
     assert written == PRESET_DIGESTS
 
 
-def test_traced_cli_reproduces_the_preset_digests(tmp_path):
-    # perfbench/traced_cli.py wraps functions of uamm by name; a rename
-    # under src/ breaks the benchmark's traced runs, and this test
+def _run_traced(tmp_path, command, preset, out_name):
+    """Run perfbench/traced_cli.py on a shipped preset; return the digests
+    of what it wrote under ``out_name``, the span names and the counters."""
     root = PRESETS.parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    spans = tmp_path / "spans.csv"
+    spans, counts = tmp_path / "spans.csv", tmp_path / "counts.json"
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans),
-         str(tmp_path / "counts.json"), "predict",
-         "--config", str(PRESETS / "accel_sweep.ini"), "--out", str(tmp_path / "predict")],
+        [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), str(counts),
+         command, "--config", str(PRESETS / preset), "--out", str(tmp_path / out_name)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    written = {f"predict/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in (tmp_path / "predict").iterdir()}
-    assert written == {k: v for k, v in PRESET_DIGESTS.items()
-                       if k.startswith("predict/")}
+    written = {f"{out_name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / out_name).iterdir()}
     with open(spans, newline="") as fh:
         names = {row["name"] for row in csv.DictReader(fh)}
+    return written, names, json.loads(counts.read_text())
+
+
+def test_traced_cli_reproduces_the_preset_digests(tmp_path):
+    # perfbench/traced_cli.py wraps functions of uamm by name; a rename
+    # under src/ breaks the benchmark's traced runs, and this test
+    written, names, _ = _run_traced(tmp_path, "predict", "accel_sweep.ini", "predict")
+    assert written == {k: v for k, v in PRESET_DIGESTS.items()
+                       if k.startswith("predict/")}
     assert {"config.load", "sequences.load", "evaluation.run_rate_point",
             "evaluation.write"} <= names
+
+
+def test_traced_cli_reproduces_the_field_digests(tmp_path):
+    # The same guard for the demo-field path: the derivation and dump spans
+    # and the solver counter the tracer takes by name.
+    written, names, counts = _run_traced(tmp_path, "demo-field", "demo_field.ini", "fields")
+    assert written == {k: v for k, v in PRESET_DIGESTS.items() if k.startswith("fields/")}
+    assert {"motion_field.derive_field_params", "motion_field.dump_field_csv"} <= names
+    assert counts["kinematics.solves"] > 0
 
 
 # ----------------------------------------------------------- cli: demo-field

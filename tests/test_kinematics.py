@@ -22,7 +22,7 @@ from uamm import (
     tmvp_scale,
     velocity_at,
 )
-from uamm.kinematics import _extrapolate_scaled, div_round_half_away_array
+from uamm.kinematics import _derive_scaled, _extrapolate_scaled, div_round_half_away_array
 
 P = PARAM_SCALE
 I64_MAX = 2**63 - 1
@@ -48,10 +48,13 @@ def tick(n):
     (-7, 3, -2),
     (0, 5, 0),
     (10, 5, 2),
+    (-2**31, 16, -2**27),  # abs() of the int32 minimum would wrap
 ])
 def test_rounding_frozen_cases(num, den, expected):
     assert div_round_half_away(num, den) == expected
     assert div_round_half_away_array(np.array([num]), den).tolist() == [expected]
+    assert div_round_half_away_array(np.array([num]), np.array([den])).tolist() == [expected]
+    assert div_round_half_away_array(np.array([num], dtype=np.int32), den).tolist() == [expected]
 
 
 @given(st.one_of(st.integers(-10**12, 10**12), st.integers(-I64_MAX, I64_MAX)),
@@ -65,6 +68,10 @@ def test_rounding_matches_rational_half_away(num, den):
     got = div_round_half_away_array(np.array([num, -num], dtype=np.int64), den)
     assert got.dtype == np.int64
     assert got.tolist() == [expected, -expected]
+    # and with one denominator per entry
+    got = div_round_half_away_array(np.array([num, num, 1], dtype=np.int64),
+                                    np.array([den, 1, den], dtype=np.int64))
+    assert got.tolist() == [expected, num, div_round_half_away(1, den)]
 
 
 def test_rounding_rejects_bad_denominator():
@@ -74,6 +81,9 @@ def test_rounding_rejects_bad_denominator():
         div_round_half_away(1, -2)
     with pytest.raises(ValueError):
         div_round_half_away_array(np.array([1]), 0)
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            div_round_half_away_array(np.array([1, 1]), np.array([3, bad]))
 
 
 # ------------------------------------------------------------ value types
@@ -311,6 +321,43 @@ def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
         x, y = _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
         assert x.dtype == y.dtype == np.int64
         assert list(zip(x.tolist(), y.tolist())) == scalar
+
+
+_MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))
+
+
+@given(st.lists(st.tuples(_MV, _MV, _MV, _MV, st.one_of(_TICKS, st.integers(1, 2**40))),
+                min_size=1, max_size=12), _TICKS)
+@example([(2**55, 0, 0, 0, 1), (0, 0, 0, 0, 32)], 1)  # each row fits, the bound does not
+@example([(MV_MAX, -MV_MAX, -MV_MAX, MV_MAX, 2**20)], 8)
+def test_array_derivation_matches_the_scalar_call(rows, t1):
+    """Arrays derive elementwise exactly as the scalar call, and raise
+    OverflowError, never wrap, whenever a scalar numerator or the
+    documented bound would leave int64."""
+    scalar = []
+    for row in rows:
+        try:
+            scalar.append(_derive_scaled(*row, t1))
+        except OverflowError:
+            scalar = None
+            break
+    # The array call's documented bound, from the largest |mv0|, |mv1| and t0.
+    m0 = max(abs(v) for r in rows for v in r[:2])
+    m1 = max(abs(v) for r in rows for v in r[2:4])
+    tm = max(r[4] for r in rows)
+    bound = max(tm * t1 * (tm + t1), 2 * P * (m1 * tm + m0 * t1),
+                P * (m0 * t1 * (2 * tm + t1) + m1 * tm * tm))
+    for dtype in (np.int64, np.int32):
+        if dtype == np.int32 and any(abs(v) >= 2**31 for r in rows for v in r):
+            continue
+        columns = [np.array(col, dtype=dtype) for col in zip(*rows)]
+        if scalar is None or bound > I64_MAX:
+            with pytest.raises(OverflowError):
+                _derive_scaled(*columns, t1)
+            continue
+        solved = _derive_scaled(*columns, t1)
+        assert all(a.dtype == np.int64 for a in solved)
+        assert list(zip(*(a.tolist() for a in solved))) == scalar
 
 
 # ---------------------------------------------------------------- overflow

@@ -24,6 +24,7 @@ from uamm import (
     div_round_half_away,
     inherit_params,
 )
+from uamm.kinematics import _derive_scaled
 from uamm.motion_field import gather_params
 
 P = PARAM_SCALE
@@ -202,6 +203,65 @@ def test_derive_recovers_global_trajectory_and_extrapolates_the_chain():
         assert np.all(out.kind == int(ParamKind.ACCELERATED))
         nxt = extrapolate_mv(p, TICK, TICK, TICK)
         assert nxt == MotionVector(fetch(j + 1), 0)
+
+
+def test_derive_overflow_raises_instead_of_wrapping():
+    """Planes written directly can hold int32 values no MotionVector allows;
+    the array solve must raise on them, not wrap."""
+    prev, curr = MotionField.empty(1, 8, 8), MotionField.empty(2, 8, 8)
+    for f in (prev, curr):
+        f.mv[...] = (2**30, 0)
+        f.mv_valid[...] = True
+    prev.ref_distance[...] = 2**30
+    curr.ref_distance[...] = 1
+    with pytest.raises(OverflowError):
+        derive_field_params(curr, prev)
+
+
+@st.composite
+def _random_field_pair(draw):
+    """Two fields of one random size, often not a multiple of 4, with random
+    masks, vectors within a few pels or anywhere up to +-MV_MAX, per-cell
+    ref distances 1-4 and a poc gap of 1-3."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = []
+    for poc in (4, 4 + draw(st.integers(1, 3))):
+        f = MotionField.empty(poc, w, h)
+        f.mv_valid[...] = rng.random(f.mv_valid.shape) < draw(st.sampled_from([0, 0.5, 0.9, 1]))
+        limit = draw(st.sampled_from([80, MV_MAX]))
+        f.mv[...] = rng.integers(-limit, limit + 1, f.mv.shape) * f.mv_valid[..., None]
+        f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape) * f.mv_valid
+        fields.append(f)
+    return fields
+
+
+@given(_random_field_pair())
+def test_derive_field_matches_the_per_cell_solve(pair):
+    """The whole-grid derivation against a per-cell reference: ``cell_at``
+    of ``prev`` at the displaced, clamped cell center, then the scalar
+    solver or the linear fallback, then ``UammParams.classify``."""
+    prev, curr = pair
+    t1 = curr.poc - prev.poc
+    out = derive_field_params(curr, prev)
+    for cy in range(curr.cells_y):
+        for cx in range(curr.cells_x):
+            want = UammParams.unavailable()
+            if curr.mv_valid[cy, cx]:
+                mvx, mvy = (int(v) for v in curr.mv[cy, cx])
+                px = 4 * cx + 2 + div_round_half_away(mvx, 16)
+                py = 4 * cy + 2 + div_round_half_away(mvy, 16)
+                src = prev.cell_at(min(max(px, 0), prev.width - 1),
+                                   min(max(py, 0), prev.height - 1))
+                if src.mv is None:
+                    solved = (div_round_half_away(mvx * P, t1),
+                              div_round_half_away(mvy * P, t1), 0, 0)
+                else:
+                    solved = _derive_scaled(src.mv.x, src.mv.y, mvx, mvy,
+                                            src.ref_distance.ticks, t1)
+                want = UammParams.classify(*solved)
+            assert (tuple(out.v0[cy, cx]), tuple(out.acc[cy, cx]), out.kind[cy, cx]) == (
+                (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
 
 
 # ------------------------------------------------------------- inheritance
