@@ -32,14 +32,17 @@ from .motion_field import (
 )
 from .predictor import (
     BlockSpec,
+    FramePrediction,
     PredictionMode,
     PredictionResult,
     correct_mvs,
     estimate_field,
     full_search_me,
     motion_compensate,
+    predict_frame,
     predict_uamm,
     predict_uniform,
+    search_field,
 )
 from .sequences import (
     FrameBuffer,

@@ -25,9 +25,12 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .kinematics import MotionVector
 from .motion_field import CELL_SIZE, MotionField, derive_field_params
-from .predictor import DEFAULT_DELTA_MAX, estimate_field, predict_uamm, predict_uniform
+from .predictor import (
+    DEFAULT_DELTA_MAX,
+    predict_frame,
+    search_field,
+)
 from .sequences import (
     FrameBuffer,
     TrajectorySpec,
@@ -233,10 +236,23 @@ class _ModeTally:
     frame_psnrs: list = field(default_factory=list)
 
 
+def _mv_bits(field: MotionField, block_size: int) -> int:
+    """Bits of the block vectors in tiling order, each coded against the
+    previous block's vector and the first against zero."""
+    step = block_size // CELL_SIZE
+    mvs = field.mv[::step, ::step].reshape(-1, 2).astype(np.int64)
+    deltas = np.diff(mvs, axis=0, prepend=np.zeros((1, 2), dtype=np.int64))
+    return sum(map(_signed_exp_golomb_bits, deltas.ravel().tolist()))
+
+
 def _run_rate_point(
     frames: list[FrameBuffer], rp: RatePoint, modes: tuple[str, ...], delta_max: int
 ) -> dict[str, _ModeTally]:
-    """Predict every frame after the first at one operating point."""
+    """Predict every frame after the first at one operating point.
+
+    Each frame is searched once and predicted once per mode, every block
+    at a time; the tallies add the blocks up in tiling order.
+    """
     width, height = frames[0].width, frames[0].height
     tallies = {m: _ModeTally() for m in modes}
 
@@ -249,33 +265,22 @@ def _run_rate_point(
         if "uamm" in modes and k >= 2:
             ref_field = derive_field_params(newer, older)
 
-        field_k, searched = estimate_field(src, ref, rp.block_size, rp.search_range)
-        pred_frames = {m: np.empty((height, width), dtype=np.uint8) for m in modes}
-        prev_mv = {m: MotionVector(0, 0) for m in modes}
-        for block, initial in searched:
-            for m in modes:
-                if m == "uniform":
-                    result = predict_uniform(src, ref, block, rp.search_range,
-                                             initial_mv=initial)
-                else:
-                    result = predict_uamm(src, ref, ref_field, block,
-                                          rp.search_range, t0=1, t1=1, t2=1,
-                                          delta_max=delta_max, initial_mv=initial)
-                tally = tallies[m]
-                tally.sad_total += result.sad
-                tally.blocks += 1
-                tally.mv_bits += _signed_exp_golomb_bits(
-                    result.initial_mv.x - prev_mv[m].x)
-                tally.mv_bits += _signed_exp_golomb_bits(
-                    result.initial_mv.y - prev_mv[m].y)
-                prev_mv[m] = result.initial_mv
-                tally.residual_bits += math.log2(result.sad + 1)
-                tally.corrected += result.corrected_count
-                tally.subblocks += (block.w // CELL_SIZE) * (block.h // CELL_SIZE)
-                pred_frames[m][block.y:block.y + block.h,
-                               block.x:block.x + block.w] = result.pred_block
+        field_k = search_field(src, ref, rp.block_size, rp.search_range)
+        mv_bits = _mv_bits(field_k, rp.block_size)
         for m in modes:
-            tallies[m].frame_psnrs.append(psnr(src.luma, pred_frames[m]))
+            frame = predict_frame(src, ref, field_k, rp.block_size,
+                                  ref_field if m == "uamm" else None,
+                                  t0=1, t1=1, t2=1, delta_max=delta_max)
+            sads = frame.sads.ravel().tolist()
+            tally = tallies[m]
+            tally.sad_total += sum(sads)
+            tally.blocks += len(sads)
+            tally.mv_bits += mv_bits
+            for sad in sads:   # one float at a time, in tiling order
+                tally.residual_bits += math.log2(sad + 1)
+            tally.corrected += int(frame.corrected.sum())
+            tally.subblocks += frame.subblock_mvs[..., 0].size
+            tally.frame_psnrs.append(psnr(src.luma, frame.pred))
         older, newer = newer, field_k
     return tallies
 

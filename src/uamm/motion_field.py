@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import IO, TYPE_CHECKING, Optional
 
 import numpy as np
@@ -36,6 +37,8 @@ if TYPE_CHECKING:
 CELL_SIZE = 4
 
 _CSV_COLUMNS = ("poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay")
+# The CSV name of each ParamKind, indexed by its value.
+_KIND_NAMES = [ParamKind(v).name.capitalize() for v in range(len(ParamKind))]
 
 
 @dataclass(frozen=True)
@@ -206,23 +209,19 @@ def inherit_params(
 
 
 def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
-    """Write one row per cell. Cells without a vector leave mv columns empty."""
+    """Write one row per cell. Cells without a vector leave mv columns empty.
+
+    Rows are formatted one cell row at a time from the planes' values.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for cy in range(field_obj.cells_y):
-        for cx in range(field_obj.cells_x):
-            valid = bool(field_obj.mv_valid[cy, cx])
-            kind = ParamKind(int(field_obj.kind[cy, cx]))
-            writer.writerow([
-                field_obj.poc,
-                cx,
-                cy,
-                int(field_obj.mv[cy, cx, 0]) if valid else "",
-                int(field_obj.mv[cy, cx, 1]) if valid else "",
-                int(field_obj.ref_distance[cy, cx]) if valid else "",
-                kind.name.capitalize(),
-                int(field_obj.v0[cy, cx, 0]),
-                int(field_obj.v0[cy, cx, 1]),
-                int(field_obj.acc[cy, cx, 0]),
-                int(field_obj.acc[cy, cx, 1]),
-            ])
+        mvx, mvy = field_obj.mv[cy].T.tolist()
+        dist = field_obj.ref_distance[cy].tolist()
+        for cx in np.flatnonzero(~field_obj.mv_valid[cy]).tolist():
+            mvx[cx] = mvy[cx] = dist[cx] = ""
+        kinds = [_KIND_NAMES[k] for k in field_obj.kind[cy].tolist()]
+        v0x, v0y = field_obj.v0[cy].T.tolist()
+        ax, ay = field_obj.acc[cy].T.tolist()
+        writer.writerows(zip(repeat(field_obj.poc), range(field_obj.cells_x), repeat(cy),
+                             mvx, mvy, dist, kinds, v0x, v0y, ax, ay))

@@ -9,6 +9,13 @@ Two modes share one integer-pel motion search:
   vector points to, extrapolates its own vector for the current distance,
   is corrected against the block vector, and is compensated separately.
 
+The frame is the unit of work: ``search_field`` full-searches every block
+of a frame tiling in one pass over the candidate offsets, and
+``predict_frame`` predicts every block of a frame in one mode in one
+batch over its 4x4 cell grid. ``full_search_me``,
+``predict_uniform`` and ``predict_uamm`` are the one-block cases of the
+same kernels.
+
 Motion vectors use the fetch convention throughout: the prediction for a
 block at x is sampled at x + mv/16 in the reference frame.
 """
@@ -20,17 +27,17 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .interp import sample_block, sample_subblocks
 from .kinematics import (
+    MV_MAX,
     MV_UNITS_PER_PEL,
     MotionVector,
     ParamKind,
     TimeInterval,
     _extrapolate_scaled,
 )
-from .motion_field import CELL_SIZE, MotionField, gather_params
+from .motion_field import CELL_SIZE, MotionField, _displaced_cells
 # Unused here; kept because perfbench/traced_cli.py wraps predictor.inherit_params.
 from .motion_field import inherit_params  # noqa: F401
 from .sequences import FrameBuffer
@@ -71,12 +78,110 @@ class PredictionResult:
     corrected_count: int
 
 
+@dataclass
+class FramePrediction:
+    """Everything one mode's pass over a frame tiling produced.
+
+    Per-block arrays are indexed [row, col] over the tiling, which runs
+    row by row like ``estimate_field``'s block list.
+    """
+
+    pred: np.ndarray          # (height, width) uint8
+    subblock_mvs: np.ndarray  # (cells_y, cells_x, 2) int64, 1/16-pel units
+    sads: np.ndarray          # (blocks_y, blocks_x) int64
+    corrected: np.ndarray     # (blocks_y, blocks_x) int64 clamped sub-blocks
+    refined: np.ndarray       # (blocks_y, blocks_x) bool: any sub-block inherited
+
+
 def _check_block_in_frame(frame: FrameBuffer, block: BlockSpec) -> None:
     if block.x + block.w > frame.width or block.y + block.h > frame.height:
         raise ValueError(
             f"block {block.w}x{block.h} at ({block.x}, {block.y}) leaves "
             f"the {frame.width}x{frame.height} frame"
         )
+
+
+def _tile_sums(plane: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Sums of ``plane`` over th x tw tiles of its last two axes, int64.
+
+    Tiles run from the top left corner; the last row and column of tiles
+    are clipped at the edges. Each tile's rows are added first as whole
+    row vectors into int32 partials (zero rows pad the last tile row), then
+    the partials along x with ``np.add.reduceat``.
+    """
+    *lead, rows, cols = plane.shape
+    tiles_y = -(-rows // th)
+    if tiles_y * th > rows:
+        pad = np.zeros((*lead, tiles_y * th - rows, cols), dtype=plane.dtype)
+        plane = np.concatenate((plane, pad), axis=-2)
+    part = plane.reshape(*lead, tiles_y, th, cols).sum(axis=-2, dtype=np.int32)
+    return np.add.reduceat(part, np.arange(0, cols, tw), axis=-1, dtype=np.int64)
+
+
+def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
+                scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """SAD of each bh x bw block tiling two equal uint8 planes.
+
+    The |differences| (<= 255, exact in int16) go into one int16 plane,
+    ``scratch`` if given: zeros, as wide as the planes and as high as
+    their tile rows, so its rows past the planes stay zero.
+    """
+    h, w = src.shape
+    if scratch is None:
+        scratch = np.zeros((-(-h // bh) * bh, w), dtype=np.int16)
+    diff = np.subtract(pred, src, out=scratch[:h], dtype=np.int16)
+    np.abs(diff, out=diff)
+    return _tile_sums(scratch, bh, bw)
+
+
+def _search_order(search_range: int) -> list[tuple[int, int]]:
+    """Candidate (dy, dx) offsets, best tie-break first: smallest |dx|+|dy|,
+    then smallest dy, then smallest dx."""
+    span = range(-search_range, search_range + 1)
+    return sorted(((dy, dx) for dy in span for dx in span),
+                  key=lambda o: (abs(o[0]) + abs(o[1]), o[0], o[1]))
+
+
+def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
+                   bh: int, bw: int, search_range: int) -> np.ndarray:
+    """Full search of every bh x bw block tiling the w x h rect at (x, y).
+
+    The rect must lie inside both frames. Candidates reaching outside the
+    reference replicate its border pixels, matching the compensation path.
+    Offsets are visited in ``_search_order``, and a later one replaces a
+    block's best only with a strictly smaller SAD, so each result is the
+    unique tie-break winner. Returns (rows, cols, 2) int64 vectors in
+    1/16-pel units. Neither frame is written.
+    """
+    if search_range < 0:
+        raise ValueError(f"search range must be non-negative, got {search_range}")
+    rect = BlockSpec(x, y, w, h)
+    _check_block_in_frame(src, rect)
+    _check_block_in_frame(ref, rect)
+
+    r = search_range
+    # The reference around the rect, padded once (a copy, never ref.luma).
+    rows = np.clip(np.arange(y - r, y + h + r), 0, ref.height - 1)
+    cols = np.clip(np.arange(x - r, x + w + r), 0, ref.width - 1)
+    padded = ref.luma[rows[:, None], cols]
+    target = src.luma[y:y + h, x:x + w]
+    tiles = (-(-h // bh), -(-w // bw))
+    scratch = np.zeros((tiles[0] * bh, w), dtype=np.int16)
+    best = np.full(tiles, np.iinfo(np.int64).max)
+    best_dx, best_dy = np.zeros(tiles, dtype=np.int64), np.zeros(tiles, dtype=np.int64)
+    better = np.empty(tiles, dtype=bool)
+    for dy, dx in _search_order(r):
+        sads = _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
+                           bh, bw, scratch)
+        np.less(sads, best, out=better)
+        np.copyto(best, sads, where=better)
+        np.copyto(best_dx, dx, where=better)
+        np.copyto(best_dy, dy, where=better)
+    mvs = np.stack((best_dx, best_dy), axis=-1) * MV_UNITS_PER_PEL
+    if r * MV_UNITS_PER_PEL > MV_MAX:   # only so wide a range can leave it
+        for mv in mvs.reshape(-1, 2).tolist():
+            MotionVector(*mv)
+    return mvs
 
 
 def full_search_me(
@@ -87,52 +192,50 @@ def full_search_me(
     Candidates reaching outside the reference replicate border pixels,
     matching the compensation path. Ties resolve to the smallest
     |mvx|+|mvy|, then smallest mvy, then smallest mvx, so the result is
-    unique. The returned vector is in 1/16-pel units.
+    unique. The returned vector is in 1/16-pel units. This is the
+    one-block case of ``search_field``'s kernel.
     """
-    if search_range < 0:
-        raise ValueError(f"search range must be non-negative, got {search_range}")
-    _check_block_in_frame(src, block)
-    _check_block_in_frame(ref, block)
+    mv = _search_blocks(src, ref, block.x, block.y, block.w, block.h,
+                        block.h, block.w, search_range)
+    return MotionVector(*mv[0, 0].tolist())
 
-    r = search_range
-    padded = np.pad(ref.luma, r, mode="edge") if r else ref.luma
-    windows = sliding_window_view(padded, (block.h, block.w))
-    # A fresh int16 copy, so the in-place ops below never write to ref.luma
-    # (padded is ref.luma itself at r = 0); |difference| <= 255 fits exactly.
-    cand = windows[block.y:block.y + 2 * r + 1,
-                   block.x:block.x + 2 * r + 1].astype(np.int16)
-    cand -= src.luma[block.y:block.y + block.h, block.x:block.x + block.w]
-    costs = np.abs(cand, out=cand).sum(axis=(2, 3), dtype=np.int64)
 
-    dy, dx = np.indices(costs.shape)
-    dy = (dy - r).ravel()
-    dx = (dx - r).ravel()
-    order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy), costs.ravel()))
-    best = order[0]
-    return MotionVector(int(dx[best]) * MV_UNITS_PER_PEL,
-                        int(dy[best]) * MV_UNITS_PER_PEL)
+def search_field(
+    src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
+) -> MotionField:
+    """Full-search every block of a frame tiling in one frame-wide pass.
+
+    The frame is tiled row by row with ``block_size`` squares, clipped at
+    the right and bottom edges; the frame sides and ``block_size`` must be
+    positive multiples of 4. Returns the motion field of ``src``: each
+    cell holds its block's vector over ``src.poc - ref.poc`` ticks.
+    """
+    BlockSpec(0, 0, block_size, block_size)   # checks block_size
+    interval = TimeInterval(src.poc - ref.poc)
+    mvs = _search_blocks(src, ref, 0, 0, src.width, src.height,
+                         block_size, block_size, search_range)
+    field = MotionField.empty(src.poc, src.width, src.height)
+    step = block_size // CELL_SIZE
+    field.mv[...] = mvs[np.arange(field.cells_y)[:, None] // step,
+                        np.arange(field.cells_x) // step]
+    field.mv_valid[...] = True
+    field.ref_distance[...] = interval.ticks
+    return field
 
 
 def estimate_field(
     src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
 ) -> tuple[MotionField, list[tuple[BlockSpec, MotionVector]]]:
-    """Full-search every block of a frame tiling and record the vectors.
-
-    The frame is tiled row by row with ``block_size`` squares, clipped at
-    the right and bottom edges. Returns the motion field of ``src`` (each
-    cell holds its block's vector over ``src.poc - ref.poc`` ticks) and
-    the (block, vector) pairs in tiling order.
-    """
-    interval = TimeInterval(src.poc - ref.poc)
-    field = MotionField.empty(src.poc, src.width, src.height)
+    """``search_field``'s field plus the (block, vector) pairs of its
+    tiling, row by row, edge blocks clipped."""
+    field = search_field(src, ref, block_size, search_range)
     searched = []
     for y in range(0, src.height, block_size):
         for x in range(0, src.width, block_size):
             block = BlockSpec(x, y, min(block_size, src.width - x),
                               min(block_size, src.height - y))
-            mv = full_search_me(src, ref, block, search_range)
-            field.set_block_mv(x, y, block.w, block.h, mv, interval)
-            searched.append((block, mv))
+            mv = field.mv[y // CELL_SIZE, x // CELL_SIZE].tolist()
+            searched.append((block, MotionVector(*mv)))
     return field, searched
 
 
@@ -141,6 +244,26 @@ def motion_compensate(
 ) -> np.ndarray:
     """Bilinear block fetch from the reference at block position + mv/16."""
     return sample_block(ref.luma, block.x, block.y, block.w, block.h, (mv.x, mv.y))
+
+
+def _correct(raw: np.ndarray, init: np.ndarray, delta_max: int, th: int, tw: int):
+    """The band rule over th x tw tiles of sub-block vector grids.
+
+    ``raw`` is (..., rows, cols, 2); ``init`` broadcasts against it and
+    holds each sub-block's block vector. Returns the corrected grids, in
+    ``raw``'s dtype, and the clamped count of each tile before any reset,
+    (..., tiles_y, tiles_x) int64.
+    """
+    if delta_max < 0:
+        raise ValueError(f"delta_max must be non-negative, got {delta_max}")
+    clamped = np.clip(raw, init - delta_max, init + delta_max)
+    changed = np.any(clamped != raw, axis=-1)
+    count = _tile_sums(changed, th, tw)
+    rows, cols = changed.shape[-2:]
+    reset = count * 2 > _tile_sums(np.ones((rows, cols), dtype=np.int32), th, tw)
+    reset = reset[..., np.arange(rows)[:, None] // th, np.arange(cols) // tw]
+    out = np.where(reset[..., None], init, clamped)
+    return out.astype(raw.dtype), count
 
 
 def correct_mvs(
@@ -155,27 +278,90 @@ def correct_mvs(
     count is the number of clamped sub-blocks before any reset (an array
     for batched input). The operation is idempotent.
     """
-    if delta_max < 0:
-        raise ValueError(f"delta_max must be non-negative, got {delta_max}")
     if subblock_mvs.ndim < 3 or subblock_mvs.shape[-1] != 2:
         raise ValueError(f"expected shape (..., rows, cols, 2), got {subblock_mvs.shape}")
     init = np.array([initial_mv.x, initial_mv.y], dtype=np.int64)
-    clamped = np.clip(subblock_mvs, init - delta_max, init + delta_max)
-    changed = np.any(clamped != subblock_mvs, axis=-1)
-    count = changed.sum(axis=(-2, -1))
-    n_sub = subblock_mvs.shape[-3] * subblock_mvs.shape[-2]
-    reset = count * 2 > n_sub
-    out = np.where(reset[..., None, None, None], init, clamped)
-    out = out.astype(subblock_mvs.dtype)
+    rows, cols = subblock_mvs.shape[-3:-1]
+    out, count = _correct(subblock_mvs, init, delta_max, rows, cols)
     if subblock_mvs.ndim == 3:
-        return out, int(count)
-    return out, count
+        return out, int(count[0, 0])
+    return out, count[..., 0, 0]
 
 
-def _block_sad(src: FrameBuffer, block: BlockSpec, pred: np.ndarray) -> int:
-    src_block = src.luma[block.y:block.y + block.h,
-                         block.x:block.x + block.w].astype(np.int32)
-    return int(np.abs(src_block - pred.astype(np.int32)).sum())
+def _predict_blocks(
+    src: FrameBuffer,
+    ref: FrameBuffer,
+    x: int, y: int, w: int, h: int,
+    bh: int, bw: int,
+    mvs: np.ndarray,
+    ref_field: Optional[MotionField] = None,
+    t0: int = 1, t1: int = 1, t2: int = 1,
+    delta_max: int = DEFAULT_DELTA_MAX,
+) -> FramePrediction:
+    """Predict the bh x bw blocks tiling the w x h rect at (x, y) at once.
+
+    ``mvs`` is (h/4, w/4, 2) int64: each 4x4 cell's block vector. Without
+    ``ref_field`` every sub-block keeps it (uniform). With one, each
+    sub-block inherits the parameters of the cell its center lands on
+    when displaced by its block vector, extrapolates them over ``t2``
+    ticks, falls back to the block vector where they are unavailable and
+    is corrected block by block (uamm). One gather compensates every
+    sub-block; one abs-difference plane gives every block's SAD.
+    """
+    if min(t0, t1, t2) < 1:
+        raise ValueError(f"intervals must be positive, got {(t0, t1, t2)}")
+    rect = BlockSpec(x, y, w, h)
+    _check_block_in_frame(src, rect)
+    _check_block_in_frame(ref, rect)
+    if mvs.shape != (h // CELL_SIZE, w // CELL_SIZE, 2):
+        raise ValueError(f"expected one vector per 4x4 cell of {w}x{h}, got {mvs.shape}")
+    if ref_field is None:
+        sub = mvs
+        corrected = refined = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
+    else:
+        cells = _displaced_cells(ref_field, x, y, w, h, mvs[..., 0], mvs[..., 1])
+        v0, acc = ref_field.v0[cells], ref_field.acc[cells]
+        available = ref_field.kind[cells] != ParamKind.UNAVAILABLE
+        ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
+                                     t0, t1, t2)
+        raw = np.where(available[..., None], np.stack((ex, ey), axis=-1), mvs)
+        sub, corrected = _correct(raw, mvs, delta_max, bh // CELL_SIZE, bw // CELL_SIZE)
+        refined = _tile_sums(available, bh // CELL_SIZE, bw // CELL_SIZE)
+    pred = sample_subblocks(ref.luma, x, y, w, h, sub)
+    sads = _block_sads(src.luma[y:y + h, x:x + w], pred, bh, bw)
+    return FramePrediction(pred=pred, subblock_mvs=sub, sads=sads,
+                           corrected=corrected, refined=refined > 0)
+
+
+def predict_frame(
+    src: FrameBuffer,
+    ref: FrameBuffer,
+    field: MotionField,
+    block_size: int,
+    ref_field: Optional[MotionField] = None,
+    t0: int = 1,
+    t1: int = 1,
+    t2: int = 1,
+    delta_max: int = DEFAULT_DELTA_MAX,
+) -> FramePrediction:
+    """Predict every block of ``src``'s tiling in one batch.
+
+    ``field`` is ``search_field``'s result for this ``src``/``ref`` pair
+    and ``block_size``: each cell holds its block's vector. Without a
+    ``ref_field`` this is ``predict_uniform`` block by block; with one it
+    is ``predict_uamm``, with one parameter gather and one extrapolation
+    over the whole cell grid and the band clamp and majority reset
+    applied block by block. A block with no usable parameters comes out
+    as its uniform prediction.
+    """
+    return _predict_blocks(src, ref, 0, 0, src.width, src.height, block_size, block_size,
+                           field.mv.astype(np.int64), ref_field, t0, t1, t2, delta_max)
+
+
+def _block_mvs(block: BlockSpec, mv: MotionVector) -> np.ndarray:
+    """``mv`` on every 4x4 cell of ``block``, (rows, cols, 2) int64."""
+    return np.tile(np.array([mv.x, mv.y], dtype=np.int64),
+                   (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
 
 
 def predict_uniform(
@@ -186,20 +372,16 @@ def predict_uniform(
     initial_mv: Optional[MotionVector] = None,
 ) -> PredictionResult:
     """Single-vector baseline: search, compensate, report."""
-    _check_block_in_frame(src, block)
-    _check_block_in_frame(ref, block)
     mv = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
-    rows, cols = block.h // CELL_SIZE, block.w // CELL_SIZE
-    grid = np.empty((rows, cols, 2), dtype=np.int64)
-    grid[:, :] = (mv.x, mv.y)
-    pred = motion_compensate(ref, block, mv)
+    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h,
+                          block.h, block.w, _block_mvs(block, mv))
     return PredictionResult(
         mode=PredictionMode.UNIFORM_BASELINE,
         initial_mv=mv,
-        subblock_mvs=grid,
-        pred_block=pred,
-        sad=_block_sad(src, block, pred),
+        subblock_mvs=out.subblock_mvs,
+        pred_block=out.pred,
+        sad=int(out.sads[0, 0]),
         corrected_count=0,
     )
 
@@ -225,27 +407,17 @@ def predict_uamm(
     is the uniform baseline, mode included, so a field with no usable
     parameters degrades to the baseline exactly.
     """
-    if min(t0, t1, t2) < 1:
-        raise ValueError(f"intervals must be positive, got {(t0, t1, t2)}")
-    _check_block_in_frame(src, block)
-    _check_block_in_frame(ref, block)
     mv_c = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
-    v0, acc, kind = gather_params(ref_field, block, mv_c)
-    available = kind != ParamKind.UNAVAILABLE
-    if not available.any():
-        return predict_uniform(src, ref, block, search_range, initial_mv=mv_c)
-    ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
-                                 t0, t1, t2)
-    raw = np.where(available[..., None], np.stack((ex, ey), axis=-1),
-                   np.array([mv_c.x, mv_c.y], dtype=np.int64))
-    corrected, count = correct_mvs(raw, mv_c, delta_max)
-    pred = sample_subblocks(ref.luma, block.x, block.y, block.w, block.h, corrected)
+    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h,
+                          block.h, block.w, _block_mvs(block, mv_c), ref_field,
+                          t0, t1, t2, delta_max)
     return PredictionResult(
-        mode=PredictionMode.UAMM_REFINED,
+        mode=(PredictionMode.UAMM_REFINED if out.refined[0, 0]
+              else PredictionMode.UNIFORM_BASELINE),
         initial_mv=mv_c,
-        subblock_mvs=corrected,
-        pred_block=pred,
-        sad=_block_sad(src, block, pred),
-        corrected_count=count,
+        subblock_mvs=out.subblock_mvs,
+        pred_block=out.pred,
+        sad=int(out.sads[0, 0]),
+        corrected_count=int(out.corrected[0, 0]),
     )

@@ -372,11 +372,13 @@ def _run_traced(tmp_path, command, preset, out_name):
 def test_traced_cli_reproduces_the_preset_digests(tmp_path):
     # perfbench/traced_cli.py wraps functions of uamm by name; a rename
     # under src/ breaks the benchmark's traced runs, and this test
-    written, names, _ = _run_traced(tmp_path, "predict", "accel_sweep.ini", "predict")
+    written, names, counts = _run_traced(tmp_path, "predict", "accel_sweep.ini", "predict")
     assert written == {k: v for k, v in PRESET_DIGESTS.items()
                        if k.startswith("predict/")}
     assert {"config.load", "sequences.load", "evaluation.run_rate_point",
             "evaluation.write"} <= names
+    # The frame kernels reach _extrapolate_scaled through predictor's global.
+    assert counts["kinematics.extrapolations"] > 0
 
 
 def test_traced_cli_reproduces_the_field_digests(tmp_path):

@@ -5,22 +5,32 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uamm import (
     BdRateError,
     ExperimentConfig,
+    FrameBuffer,
+    MotionField,
+    MotionVector,
     RatePoint,
     RdPoint,
     SequenceSource,
     TrajectorySpec,
     bd_rate,
+    derive_field_params,
+    estimate_field,
+    predict_uamm,
+    predict_uniform,
     psnr,
     run_experiment,
     synth_sequence,
     write_yuv,
 )
 from uamm import evaluation
-from uamm.evaluation import _signed_exp_golomb_bits
+from uamm.evaluation import _ModeTally, _signed_exp_golomb_bits
+from uamm.motion_field import CELL_SIZE
 
 CURVE = [RdPoint(100.0, 30.0), RdPoint(180.0, 33.0),
          RdPoint(330.0, 36.0), RdPoint(600.0, 39.0)]
@@ -292,3 +302,98 @@ def test_experiment_writes_rd_curves_on_request(tmp_path):
     assert len(body) == 3  # header plus two rate points
     rate, quality = body[1].split()
     assert float(rate) > 0 and float(quality) > 0
+
+
+# ------------------------------------------------ frame pass vs block loop
+
+def _per_block_rate_point(frames, rp, modes, delta_max):
+    """The block-at-a-time runner ``_run_rate_point`` replaced, as its oracle:
+    every block is predicted and tallied on its own, in tiling order."""
+    width, height = frames[0].width, frames[0].height
+    tallies = {m: _ModeTally() for m in modes}
+
+    empty = MotionField.empty(frames[0].poc, width, height)
+    older, newer = empty, empty
+    for k in range(1, len(frames)):
+        src, ref = frames[k], frames[k - 1]
+        ref_field = empty
+        if "uamm" in modes and k >= 2:
+            ref_field = derive_field_params(newer, older)
+
+        field_k, searched = estimate_field(src, ref, rp.block_size, rp.search_range)
+        pred_frames = {m: np.empty((height, width), dtype=np.uint8) for m in modes}
+        prev_mv = {m: MotionVector(0, 0) for m in modes}
+        for block, initial in searched:
+            for m in modes:
+                if m == "uniform":
+                    result = predict_uniform(src, ref, block, rp.search_range,
+                                             initial_mv=initial)
+                else:
+                    result = predict_uamm(src, ref, ref_field, block,
+                                          rp.search_range, t0=1, t1=1, t2=1,
+                                          delta_max=delta_max, initial_mv=initial)
+                tally = tallies[m]
+                tally.sad_total += result.sad
+                tally.blocks += 1
+                tally.mv_bits += _signed_exp_golomb_bits(
+                    result.initial_mv.x - prev_mv[m].x)
+                tally.mv_bits += _signed_exp_golomb_bits(
+                    result.initial_mv.y - prev_mv[m].y)
+                prev_mv[m] = result.initial_mv
+                tally.residual_bits += math.log2(result.sad + 1)
+                tally.corrected += result.corrected_count
+                tally.subblocks += (block.w // CELL_SIZE) * (block.h // CELL_SIZE)
+                pred_frames[m][block.y:block.y + block.h,
+                               block.x:block.x + block.w] = result.pred_block
+        for m in modes:
+            tallies[m].frame_psnrs.append(psnr(src.luma, pred_frames[m]))
+        older, newer = newer, field_k
+    return tallies
+
+
+def _two_layer_clip(w, h, n, seed, levels, back_motion, front_motion, rect):
+    """``n`` frames of w x h: the ``rect`` (x0, y0, x1, y1) of one noise
+    texture over another (values below ``levels``), each rolled by its own
+    integer-pel accelerating displacement (vx, vy, ax, ay), with a few
+    changed pixels."""
+    rng = np.random.default_rng(seed)
+    textures = [rng.integers(0, levels, (h, w), dtype=np.uint8) for _ in range(2)]
+    x0, y0, x1, y1 = rect
+    frames = []
+    for k in range(n):
+        back, front = (np.roll(t, (vy * k + ay * k * k // 2, vx * k + ax * k * k // 2),
+                               axis=(0, 1))
+                       for t, (vx, vy, ax, ay) in zip(textures, (back_motion, front_motion)))
+        back[y0:y1, x0:x1] = front[y0:y1, x0:x1]
+        back[rng.random((h, w)) < 0.05] = 7
+        frames.append(FrameBuffer(poc=k, width=w, height=h, luma=back))
+    return frames
+
+
+@st.composite
+def _moving_clip(draw):
+    """A ``_two_layer_clip`` of 2-5 frames, 8-40 px a side, at one rate
+    point, in one or both modes. Band widths 0, 8 (where majority resets
+    are common), 32 and one that never clamps."""
+    w, h = 4 * draw(st.integers(2, 10)), 4 * draw(st.integers(2, 10))
+    motion = st.tuples(*[st.integers(-4, 4)] * 4)
+    x0, x1 = sorted(draw(st.integers(0, w)) for _ in range(2))
+    y0, y1 = sorted(draw(st.integers(0, h)) for _ in range(2))
+    frames = _two_layer_clip(w, h, draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1)),
+                             draw(st.sampled_from([3, 256])), draw(motion), draw(motion),
+                             (x0, y0, x1, y1))
+    rp = RatePoint("rp", draw(st.sampled_from([4, 8, 12, 16, 20])), draw(st.sampled_from([0, 1, 3])))
+    modes = draw(st.sampled_from([("uniform", "uamm"), ("uamm",), ("uniform",)]))
+    return frames, rp, modes, draw(st.sampled_from([0, 8, 32, 10**6]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_moving_clip())
+@example((_two_layer_clip(28, 24, 5, 640561, 256, (-1, 4, 3, 3), (4, 0, -4, 4), (14, 0, 15, 23)),
+          RatePoint("rp", 8, 3), ("uniform", "uamm"), 32))   # resets in some blocks only
+def test_rate_point_tallies_match_the_block_loop(clip):
+    """Every tally field, the float residual bits and frame PSNRs included,
+    equals the block loop's exactly."""
+    frames, rp, modes, delta_max = clip
+    got = evaluation._run_rate_point(frames, rp, modes, delta_max)
+    assert got == _per_block_rate_point(frames, rp, modes, delta_max)

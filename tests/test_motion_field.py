@@ -405,3 +405,42 @@ def test_dump_field_csv_shape_and_values():
     empty = by_cell[("1", "1")]
     assert empty[3:6] == ["", "", ""]
     assert empty[6] == "Unavailable"
+
+
+@st.composite
+def _random_dump_field(draw):
+    """A field of 1-40 px a side with a random poc, vector mask, vectors
+    and ref distances, and parameters of every kind with either sign;
+    cells without a vector hold unavailable parameters."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = MotionField.empty(draw(st.integers(-5, 1000)), w, h)
+    f.mv_valid[...] = rng.random(f.mv_valid.shape) < draw(st.sampled_from([0, 0.5, 1]))
+    f.mv[...] = rng.integers(-MV_MAX, MV_MAX + 1, f.mv.shape)
+    f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape)
+    v0 = rng.integers(-2**40, 2**40, f.v0.shape) * (rng.random((*f.kind.shape, 1)) < 0.7)
+    acc = rng.integers(-500, 501, f.acc.shape) * (rng.random((*f.kind.shape, 1)) < 0.5)
+    for cy in range(f.cells_y):
+        for cx in range(f.cells_x):
+            p = UammParams.classify(*v0[cy, cx].tolist(), *acc[cy, cx].tolist())
+            if not f.mv_valid[cy, cx]:
+                p = UammParams.unavailable()
+            f.v0[cy, cx], f.acc[cy, cx], f.kind[cy, cx] = (p.v0x, p.v0y), (p.ax, p.ay), p.kind
+    return f
+
+
+@given(_random_dump_field())
+def test_dump_field_csv_matches_a_per_cell_reference(f):
+    """Each row against the cell's ``cell_at`` view, formatted field by field."""
+    buf = io.StringIO()
+    dump_field_csv(f, buf)
+    want = [["poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay"]]
+    for cy in range(f.cells_y):
+        for cx in range(f.cells_x):
+            cell = f.cell_at(4 * cx, 4 * cy)
+            mv = ("", "", "") if cell.mv is None else (
+                cell.mv.x, cell.mv.y, cell.ref_distance.ticks)
+            p = cell.params
+            want.append([str(v) for v in (f.poc, cx, cy, *mv, p.kind.name.capitalize(),
+                                          p.v0x, p.v0y, p.ax, p.ay)])
+    assert buf.getvalue() == "".join(",".join(row) + "\n" for row in want)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm import (
@@ -24,7 +24,9 @@ from uamm import (
     full_search_me,
     motion_compensate,
     predict_uamm,
+    predict_frame,
     predict_uniform,
+    search_field,
     synth_sequence,
 )
 from uamm.interp import sample_block, sample_subblocks
@@ -171,6 +173,97 @@ def test_estimate_field_clips_the_tiling_at_the_frame_edges():
     assert all(mv == MotionVector(-32, 0) for _, mv in searched)
     assert field.poc == 3 and field.mv_valid.all()
     assert (field.mv == (-32, 0)).all() and (field.ref_distance == 2).all()
+
+
+def _low_entropy(kind, rng, w, h):
+    """A frame where equal SADs are common: a constant, a tiled 2x2 or 3x3
+    tile of values in {0, 1, 2}, or independent values in {0, 1, 2}."""
+    if kind == "flat":
+        return np.full((h, w), int(rng.integers(0, 3)), dtype=np.uint8)
+    if kind == "periodic":
+        p = int(rng.integers(2, 4))
+        tile = rng.integers(0, 3, (p, p), dtype=np.uint8)
+        return np.tile(tile, (h // p + 1, w // p + 1))[:h, :w].copy()
+    return rng.integers(0, 3, (h, w), dtype=np.uint8)
+
+
+def _brute_force_vectors(src, ref, block_sizes, r):
+    """Per-candidate oracle: every block's SAD at every offset from an
+    integral image of the abs-difference plane against the edge-padded
+    reference, then per block the smallest (SAD, |dx|+|dy|, dy, dx).
+    Returns {block_size: {(x, y): vector}} for the row-major tilings."""
+    h, w = src.shape
+    padded = np.pad(ref.astype(np.int64), r, mode="edge")
+    # Flat indices into the (h+1, w+1) integral image of each block's four
+    # corners, (y0, x0) (y0, x1) (y1, x0) (y1, x1), every block size in turn.
+    corners, origins = [], []
+    for bs in block_sizes:
+        y0, x0 = np.arange(0, h, bs), np.arange(0, w, bs)
+        y1, x1 = np.minimum(y0 + bs, h), np.minimum(x0 + bs, w)
+        for j in range(len(y0)):
+            for i in range(len(x0)):
+                corners.append([yy * (w + 1) + xx for yy in (y0[j], y1[j]) for xx in (x0[i], x1[i])])
+                origins.append((bs, int(x0[i]), int(y0[j])))
+    corners = np.array(corners)
+    offsets, at_corners = [], []
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            diff = np.abs(src.astype(np.int64) - padded[r + dy:r + dy + h, r + dx:r + dx + w])
+            sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+            sat[1:, 1:] = diff.cumsum(axis=0).cumsum(axis=1)
+            at_corners.append(sat.ravel()[corners])
+            offsets.append((dx, dy))
+    v = np.stack(at_corners)   # (offsets, blocks, 4)
+    sads = v[..., 3] - v[..., 2] - v[..., 1] + v[..., 0]
+    dxs, dys = (np.array(c) for c in zip(*offsets))
+    vectors = {bs: {} for bs in block_sizes}
+    for k, (bs, x, y) in enumerate(origins):
+        best = np.lexsort((dxs, dys, np.abs(dxs) + np.abs(dys), sads[:, k]))[0]
+        vectors[bs][(x, y)] = MotionVector(16 * int(dxs[best]), 16 * int(dys[best]))
+    return vectors
+
+
+_TIED_CASES = [(kinds, r) for kinds in [("levels", "levels"), ("periodic", "periodic"),
+                                        ("flat", "levels"), ("periodic", "flat")]
+               for r in (0, 1, 8)] + [(("levels", "levels"), 24), (("periodic", "flat"), 24)]
+
+
+@pytest.mark.parametrize("kinds,search_range", _TIED_CASES,
+                         ids=[f"{a}-{b}-r{r}" for (a, b), r in _TIED_CASES])
+def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, search_range):
+    """The frame-wide search against ``_brute_force_vectors`` on an 80x72
+    frame, whose edge blocks clip at most block sides, on low-entropy
+    content where many offsets tie; both frames stay untouched."""
+    rng = np.random.default_rng(search_range * 10 + len(kinds[0]) + len(kinds[1]))
+    luma_src, luma_ref = (_low_entropy(k, rng, 80, 72) for k in kinds)
+    src, ref = frame(luma_src.copy(), poc=1), frame(luma_ref.copy(), poc=0)
+    block_sizes = (4, 12, 16, 20, 28, 64)
+    want = _brute_force_vectors(luma_src, luma_ref, block_sizes, search_range)
+    for block_size in block_sizes:
+        field, searched = estimate_field(src, ref, block_size, search_range)
+        assert {(b.x, b.y): mv for b, mv in searched} == want[block_size]
+        for block, mv in searched:
+            cells = field.mv[block.y // 4:(block.y + block.h) // 4,
+                             block.x // 4:(block.x + block.w) // 4]
+            assert (cells == (mv.x, mv.y)).all()
+    assert np.array_equal(src.luma, luma_src) and np.array_equal(ref.luma, luma_ref)
+
+
+def test_frame_kernels_validate_inputs():
+    luma, wide = np.zeros((16, 16), dtype=np.uint8), np.zeros((16, 24), dtype=np.uint8)
+    with pytest.raises(ValueError, match="search range"):
+        search_field(frame(luma), frame(luma, poc=-1), 8, -1)
+    with pytest.raises(ValueError, match="leaves the 16x16 frame"):
+        search_field(frame(wide), frame(luma, poc=-1), 8, 1)
+    with pytest.raises(ValueError, match="multiples of 4"):
+        search_field(frame(luma), frame(luma, poc=-1), 6, 1)
+    field = search_field(frame(luma), frame(luma, poc=-1), 8, 1)
+    with pytest.raises(ValueError, match="leaves the 16x16 frame"):
+        predict_frame(frame(wide), frame(luma), field, 8)
+    with pytest.raises(ValueError, match="one vector per 4x4 cell"):
+        predict_frame(frame(wide), frame(wide), field, 8)
+    with pytest.raises(ValueError, match="intervals"):
+        predict_frame(frame(luma), frame(luma), field, 8, field, t0=0)
 
 
 # ------------------------------------------------------------- compensation
@@ -467,3 +560,130 @@ def test_uamm_rejects_bad_intervals():
     with pytest.raises(ValueError):
         predict_uamm(frame(luma), frame(luma), f, BlockSpec(0, 0, 8, 8),
                      2, t0=0, t1=1, t2=1)
+
+
+# ------------------------------------------------------------------- frames
+
+def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
+    """The frame pass rebuilt from one ``predict_uniform`` (no ``ref_field``)
+    or ``predict_uamm`` (t0 = t1 = t2 = 1) call per block of the tiling,
+    each given its block's vector from ``field``."""
+    h, w = src.luma.shape
+    pred = np.zeros((h, w), dtype=np.uint8)
+    sub = np.zeros((h // 4, w // 4, 2), dtype=np.int64)
+    sads, corrected, refined = [], [], []
+    for y in range(0, h, block_size):
+        for x in range(0, w, block_size):
+            block = BlockSpec(x, y, min(block_size, w - x), min(block_size, h - y))
+            mv = MotionVector(*field.mv[y // 4, x // 4].tolist())
+            if ref_field is None:
+                res = predict_uniform(src, ref, block, 0, initial_mv=mv)
+            else:
+                res = predict_uamm(src, ref, ref_field, block, 0, 1, 1, 1,
+                                   delta_max=delta_max, initial_mv=mv)
+            pred[y:y + block.h, x:x + block.w] = res.pred_block
+            sub[y // 4:(y + block.h) // 4, x // 4:(x + block.w) // 4] = res.subblock_mvs
+            sads.append(res.sad)
+            corrected.append(res.corrected_count)
+            refined.append(res.mode == PredictionMode.UAMM_REFINED)
+    blocks = (-(-h // block_size), -(-w // block_size))
+    return (pred, sub, *(np.array(v).reshape(blocks) for v in (sads, corrected, refined)))
+
+
+def _assert_frame_equals(got, want):
+    pred, sub, sads, corrected, refined = want
+    assert np.array_equal(got.pred, pred)
+    assert np.array_equal(got.subblock_mvs, sub)
+    assert got.sads.tolist() == sads.tolist()
+    assert got.corrected.tolist() == corrected.tolist()
+    assert got.refined.tolist() == refined.tolist()
+
+
+def _block_field(w, h, block_size, mvs):
+    """A searched-style field: block (i, j) of the tiling carries mvs[j][i]."""
+    field = MotionField.empty(1, w, h)
+    for j, y in enumerate(range(0, h, block_size)):
+        for i, x in enumerate(range(0, w, block_size)):
+            field.set_block_mv(x, y, min(block_size, w - x), min(block_size, h - y),
+                               MotionVector(*mvs[j][i]), TimeInterval(1))
+    return field
+
+
+@st.composite
+def _frame_case(draw):
+    """Frames of 4-48 px a side tiled by 4-20 px blocks (edge blocks clip),
+    sub-pel block vectors of either sign, and a reference field whose
+    cells are unavailable with probability 0, 1/2 or 1 and otherwise
+    extrapolate to within 3 pel, so that some stay in the band and some
+    clamp; band widths 0, 32 and one that never clamps."""
+    w, h = 4 * draw(st.integers(1, 12)), 4 * draw(st.integers(1, 12))
+    block_size = draw(st.sampled_from([4, 8, 12, 16, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src, ref = frame(noise(rng, w, h), poc=1), frame(noise(rng, w, h), poc=0)
+    blocks = (-(-h // block_size), -(-w // block_size))
+    field = _block_field(w, h, block_size, rng.integers(-40, 41, (*blocks, 2)).tolist())
+    ref_field = MotionField.empty(0, w, h)
+    shape = ref_field.kind.shape
+    ref_field.v0[...] = rng.integers(-48, 49, (*shape, 2)) * P
+    ref_field.acc[...] = rng.integers(-8, 9, (*shape, 2)) * (rng.random((*shape, 1)) < 0.5)
+    ref_field.kind[...] = np.where(ref_field.acc.any(axis=2), ParamKind.ACCELERATED,
+                                   np.where(ref_field.v0.any(axis=2), ParamKind.LINEAR,
+                                            ParamKind.CONSTANT))
+    unavailable = rng.random(shape) < draw(st.sampled_from([0, 0.5, 1]))
+    ref_field.v0[unavailable] = ref_field.acc[unavailable] = 0
+    ref_field.kind[unavailable] = ParamKind.UNAVAILABLE
+    delta_max = draw(st.sampled_from([0, 32, 10**6]))
+    return src, ref, field, ref_field, block_size, delta_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frame_case())
+def test_frame_pass_matches_one_call_per_block(case):
+    """Both modes' frame passes against ``_per_block_frame``: prediction
+    plane, sub-block vectors, per-block SADs, clamp counts, refined flags."""
+    src, ref, field, ref_field, block_size, delta_max = case
+    _assert_frame_equals(predict_frame(src, ref, field, block_size),
+                         _per_block_frame(src, ref, field, block_size))
+    _assert_frame_equals(
+        predict_frame(src, ref, field, block_size, ref_field, 1, 1, 1, delta_max),
+        _per_block_frame(src, ref, field, block_size, ref_field, delta_max))
+
+
+def test_frame_pass_applies_the_band_rule_block_by_block():
+    """A 40x24 frame of 16-px blocks (the right column 8 wide, the bottom
+    row 8 high), zero block vectors and linear cells extrapolating to
+    16 (in the band) or 100 (out of it) units in x:
+
+        block (0,0), 16 sub-blocks: 8 out, exactly half: clamped, no reset;
+        block (1,0): no parameters: the uniform prediction;
+        block (2,0), 8 sub-blocks: 5 out: reset to the block vector;
+        block (0,1), 8 sub-blocks: 4 unavailable, 2 out: clamped, no reset;
+        block (1,1): all in the band;
+        block (2,1), 4 sub-blocks: 3 out: reset.
+    """
+    rng = np.random.default_rng(16)
+    src, ref = frame(noise(rng, 40, 24), poc=1), frame(noise(rng, 40, 24), poc=0)
+    field = _block_field(40, 24, 16, [[(0, 0)] * 3] * 2)
+    target = np.full((6, 10), 16)
+    target[0:2, 0:4] = 100
+    target[0:2, 8:10] = target[2, 8] = 100
+    target[4:6, 3] = 100
+    target[4, 8:10] = target[5, 8] = 100
+    ref_field = linear_field(40, 24, 0, 0)
+    ref_field.v0[..., 0] = target * P
+    ref_field.kind[...] = ParamKind.LINEAR
+    ref_field.kind[0:4, 4:8] = ref_field.kind[4:6, 0:2] = ParamKind.UNAVAILABLE
+    ref_field.v0[ref_field.kind == ParamKind.UNAVAILABLE] = 0
+
+    got = predict_frame(src, ref, field, 16, ref_field, 1, 1, 1, delta_max=32)
+    assert got.corrected.tolist() == [[8, 0, 5], [2, 0, 3]]
+    assert got.refined.tolist() == [[True, False, True], [True, True, True]]
+    want_x = np.minimum(target, 32)
+    want_x[0:4, 4:8] = want_x[4:6, 0:2] = 0           # fallbacks
+    want_x[0:4, 8:10] = want_x[4:6, 8:10] = 0         # resets
+    assert got.subblock_mvs[..., 0].tolist() == want_x.tolist()
+    assert not got.subblock_mvs[..., 1].any()
+    _assert_frame_equals(got, _per_block_frame(src, ref, field, 16, ref_field, 32))
+    uniform = predict_frame(src, ref, field, 16)
+    assert np.array_equal(got.pred[0:16, 16:32], uniform.pred[0:16, 16:32])
+    assert got.sads[0, 1] == uniform.sads[0, 1]
