@@ -43,6 +43,7 @@ from .predictor import (
     predict_uamm,
     predict_uniform,
     search_field,
+    search_fields,
 )
 from .sequences import (
     FrameBuffer,

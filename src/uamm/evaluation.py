@@ -29,7 +29,7 @@ from .motion_field import CELL_SIZE, MotionField, derive_field_params
 from .predictor import (
     DEFAULT_DELTA_MAX,
     predict_frame,
-    search_field,
+    search_fields,
 )
 from .sequences import (
     FrameBuffer,
@@ -245,44 +245,64 @@ def _mv_bits(field: MotionField, block_size: int) -> int:
     return sum(map(_signed_exp_golomb_bits, deltas.ravel().tolist()))
 
 
+def _run_rate_points(
+    frames: list[FrameBuffer], rate_points: tuple[RatePoint, ...],
+    modes: tuple[str, ...], delta_max: int
+) -> list[dict[str, _ModeTally]]:
+    """Predict every frame after the first at every operating point.
+
+    Frames run in order. Each frame is searched once per distinct search
+    range, for all rate points at that range, then predicted once per
+    rate point and mode, every block at a time. Each rate point keeps its
+    own tallies, returned in rate point order, and its own two previous
+    fields; the tallies add the blocks up in tiling order.
+    """
+    width, height = frames[0].width, frames[0].height
+    tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
+    by_range: dict[int, list[int]] = {}
+    for i, rp in enumerate(rate_points):
+        by_range.setdefault(rp.search_range, []).append(i)
+
+    empty = MotionField.empty(frames[0].poc, width, height)
+    # The fields searched for frames k-2 and k-1, per rate point.
+    history = [(empty, empty)] * len(rate_points)
+    for k in range(1, len(frames)):
+        src, ref = frames[k], frames[k - 1]
+        searched: dict[int, MotionField] = {}
+        for search_range, points in by_range.items():
+            sizes = [rate_points[i].block_size for i in points]
+            searched.update(zip(points, search_fields(src, ref, sizes, search_range)))
+        for i, rp in enumerate(rate_points):
+            older, newer = history[i]
+            # Parameters need two searched fields, and only the uamm mode reads them.
+            ref_field = empty
+            if "uamm" in modes and k >= 2:
+                ref_field = derive_field_params(newer, older)
+
+            field_k = searched[i]
+            mv_bits = _mv_bits(field_k, rp.block_size)
+            for m, tally in tallies[i].items():
+                frame = predict_frame(src, ref, field_k, rp.block_size,
+                                      ref_field if m == "uamm" else None,
+                                      t0=1, t1=1, t2=1, delta_max=delta_max)
+                sads = frame.sads.ravel().tolist()
+                tally.sad_total += sum(sads)
+                tally.blocks += len(sads)
+                tally.mv_bits += mv_bits
+                for sad in sads:   # one float at a time, in tiling order
+                    tally.residual_bits += math.log2(sad + 1)
+                tally.corrected += int(frame.corrected.sum())
+                tally.subblocks += frame.subblock_mvs[..., 0].size
+                tally.frame_psnrs.append(psnr(src.luma, frame.pred))
+            history[i] = (newer, field_k)
+    return tallies
+
+
 def _run_rate_point(
     frames: list[FrameBuffer], rp: RatePoint, modes: tuple[str, ...], delta_max: int
 ) -> dict[str, _ModeTally]:
-    """Predict every frame after the first at one operating point.
-
-    Each frame is searched once and predicted once per mode, every block
-    at a time; the tallies add the blocks up in tiling order.
-    """
-    width, height = frames[0].width, frames[0].height
-    tallies = {m: _ModeTally() for m in modes}
-
-    empty = MotionField.empty(frames[0].poc, width, height)
-    older, newer = empty, empty        # the fields searched for frames k-2, k-1
-    for k in range(1, len(frames)):
-        src, ref = frames[k], frames[k - 1]
-        # Parameters need two searched fields, and only the uamm mode reads them.
-        ref_field = empty
-        if "uamm" in modes and k >= 2:
-            ref_field = derive_field_params(newer, older)
-
-        field_k = search_field(src, ref, rp.block_size, rp.search_range)
-        mv_bits = _mv_bits(field_k, rp.block_size)
-        for m in modes:
-            frame = predict_frame(src, ref, field_k, rp.block_size,
-                                  ref_field if m == "uamm" else None,
-                                  t0=1, t1=1, t2=1, delta_max=delta_max)
-            sads = frame.sads.ravel().tolist()
-            tally = tallies[m]
-            tally.sad_total += sum(sads)
-            tally.blocks += len(sads)
-            tally.mv_bits += mv_bits
-            for sad in sads:   # one float at a time, in tiling order
-                tally.residual_bits += math.log2(sad + 1)
-            tally.corrected += int(frame.corrected.sum())
-            tally.subblocks += frame.subblock_mvs[..., 0].size
-            tally.frame_psnrs.append(psnr(src.luma, frame.pred))
-        older, newer = newer, field_k
-    return tallies
+    """``_run_rate_points`` at one operating point."""
+    return _run_rate_points(frames, (rp,), modes, delta_max)[0]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -296,8 +316,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     name = config.source.name
     curves: dict[str, list[RdPoint]] = {m: [] for m in config.modes}
     frames = config.source.load()
-    for rp in config.rate_points:
-        tallies = _run_rate_point(frames, rp, config.modes, config.delta_max)
+    runs = _run_rate_points(frames, config.rate_points, config.modes, config.delta_max)
+    for rp, tallies in zip(config.rate_points, runs):
         for m in config.modes:
             t = tallies[m]
             mean_sad = t.sad_total / t.blocks

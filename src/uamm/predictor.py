@@ -9,12 +9,13 @@ Two modes share one integer-pel motion search:
   vector points to, extrapolates its own vector for the current distance,
   is corrected against the block vector, and is compensated separately.
 
-The frame is the unit of work: ``search_field`` full-searches every block
-of a frame tiling in one pass over the candidate offsets, and
-``predict_frame`` predicts every block of a frame in one mode in one
-batch over its 4x4 cell grid. ``full_search_me``,
-``predict_uniform`` and ``predict_uamm`` are the one-block cases of the
-same kernels.
+The frame is the unit of work: ``search_fields`` full-searches every
+block of one frame tiling per block size in one pass over the candidate
+offsets, one abs-difference plane per offset shared by every block size,
+and ``predict_frame`` predicts every block of a frame in one mode in one
+batch over its 4x4 cell grid. ``search_field`` is the one-size case of
+the search; ``full_search_me``, ``predict_uniform`` and ``predict_uamm``
+are the one-block cases of the same kernels.
 
 Motion vectors use the fetch convention throughout: the prediction for a
 block at x is sampled at x + mv/16 in the reference frame.
@@ -22,6 +23,7 @@ block at x is sampled at x + mv/16 in the reference frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -143,15 +145,20 @@ def _search_order(search_range: int) -> list[tuple[int, int]]:
 
 
 def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
-                   bh: int, bw: int, search_range: int) -> np.ndarray:
-    """Full search of every bh x bw block tiling the w x h rect at (x, y).
+                   tiles: list[tuple[int, int]], search_range: int) -> list[np.ndarray]:
+    """Full search of every tiling of the w x h rect at (x, y), one per
+    (bh, bw) in ``tiles``, in one pass over the candidate offsets.
 
     The rect must lie inside both frames. Candidates reaching outside the
     reference replicate its border pixels, matching the compensation path.
+    Each offset's abs-difference plane is built once and summed over the
+    tiles of the gcd of the tile sizes, whose edges every tiling shares;
+    those sums pool exactly, in int64, to each tiling's block SADs.
     Offsets are visited in ``_search_order``, and a later one replaces a
     block's best only with a strictly smaller SAD, so each result is the
-    unique tie-break winner. Returns (rows, cols, 2) int64 vectors in
-    1/16-pel units. Neither frame is written.
+    unique tie-break winner. Returns one (rows, cols, 2) int64 array of
+    vectors in 1/16-pel units per entry of ``tiles``. Neither frame is
+    written.
     """
     if search_range < 0:
         raise ValueError(f"search range must be non-negative, got {search_range}")
@@ -165,23 +172,38 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     cols = np.clip(np.arange(x - r, x + w + r), 0, ref.width - 1)
     padded = ref.luma[rows[:, None], cols]
     target = src.luma[y:y + h, x:x + w]
-    tiles = (-(-h // bh), -(-w // bw))
-    scratch = np.zeros((tiles[0] * bh, w), dtype=np.int16)
-    best = np.full(tiles, np.iinfo(np.int64).max)
-    best_dx, best_dy = np.zeros(tiles, dtype=np.int64), np.zeros(tiles, dtype=np.int64)
-    better = np.empty(tiles, dtype=bool)
+    gh, gw = math.gcd(*(bh for bh, _ in tiles)), math.gcd(*(bw for _, bw in tiles))
+    scratch = np.zeros((-(-h // gh) * gh, w), dtype=np.int16)
+    # Every tiling keeps its running bests in its own slice of one flat
+    # vector, pooled from the gcd tile grid at its first tile rows and
+    # columns.
+    starts = [(np.arange(0, -(-h // gh), bh // gh), np.arange(0, -(-w // gw), bw // gw))
+              for bh, bw in tiles]
+    bounds = np.cumsum([0] + [len(ys) * len(xs) for ys, xs in starts]).tolist()
+    best = np.full(bounds[-1], np.iinfo(np.int64).max)
+    best_dx, best_dy = np.zeros_like(best), np.zeros_like(best)
+    sads = np.empty_like(best)
+    views = [sads[lo:hi].reshape(len(ys), len(xs))
+             for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
+    better = np.empty(best.shape, dtype=bool)
     for dy, dx in _search_order(r):
-        sads = _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
-                           bh, bw, scratch)
+        grid = _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
+                           gh, gw, scratch)
+        for tile, (ys, xs), view in zip(tiles, starts, views):
+            if tile == (gh, gw):
+                view[...] = grid
+            else:
+                np.add.reduceat(np.add.reduceat(grid, ys, axis=0), xs, axis=1, out=view)
         np.less(sads, best, out=better)
         np.copyto(best, sads, where=better)
         np.copyto(best_dx, dx, where=better)
         np.copyto(best_dy, dy, where=better)
     mvs = np.stack((best_dx, best_dy), axis=-1) * MV_UNITS_PER_PEL
     if r * MV_UNITS_PER_PEL > MV_MAX:   # only so wide a range can leave it
-        for mv in mvs.reshape(-1, 2).tolist():
+        for mv in mvs.tolist():
             MotionVector(*mv)
-    return mvs
+    return [mvs[lo:hi].reshape(len(ys), len(xs), 2)
+            for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
 
 
 def full_search_me(
@@ -193,34 +215,49 @@ def full_search_me(
     matching the compensation path. Ties resolve to the smallest
     |mvx|+|mvy|, then smallest mvy, then smallest mvx, so the result is
     unique. The returned vector is in 1/16-pel units. This is the
-    one-block case of ``search_field``'s kernel.
+    one-block case of ``search_fields``' kernel.
     """
-    mv = _search_blocks(src, ref, block.x, block.y, block.w, block.h,
-                        block.h, block.w, search_range)
+    [mv] = _search_blocks(src, ref, block.x, block.y, block.w, block.h,
+                          [(block.h, block.w)], search_range)
     return MotionVector(*mv[0, 0].tolist())
+
+
+def search_fields(
+    src: FrameBuffer, ref: FrameBuffer, block_sizes: list[int], search_range: int
+) -> list[MotionField]:
+    """Full-search every block of one frame tiling per block size, in one
+    frame-wide pass shared by all of them.
+
+    Each tiling runs row by row with ``block_size`` squares, clipped at
+    the right and bottom edges; the frame sides and every block size must
+    be positive multiples of 4. Returns one motion field of ``src`` per
+    block size, in order: each cell holds its block's vector over
+    ``src.poc - ref.poc`` ticks.
+    """
+    if not block_sizes:
+        raise ValueError("block sizes must be a non-empty list of multiples of 4, got []")
+    for block_size in block_sizes:
+        BlockSpec(0, 0, block_size, block_size)   # checks block_size
+    interval = TimeInterval(src.poc - ref.poc)
+    searched = _search_blocks(src, ref, 0, 0, src.width, src.height,
+                              [(bs, bs) for bs in block_sizes], search_range)
+    fields = []
+    for block_size, mvs in zip(block_sizes, searched):
+        field = MotionField.empty(src.poc, src.width, src.height)
+        step = block_size // CELL_SIZE
+        field.mv[...] = mvs[np.arange(field.cells_y)[:, None] // step,
+                            np.arange(field.cells_x) // step]
+        field.mv_valid[...] = True
+        field.ref_distance[...] = interval.ticks
+        fields.append(field)
+    return fields
 
 
 def search_field(
     src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
 ) -> MotionField:
-    """Full-search every block of a frame tiling in one frame-wide pass.
-
-    The frame is tiled row by row with ``block_size`` squares, clipped at
-    the right and bottom edges; the frame sides and ``block_size`` must be
-    positive multiples of 4. Returns the motion field of ``src``: each
-    cell holds its block's vector over ``src.poc - ref.poc`` ticks.
-    """
-    BlockSpec(0, 0, block_size, block_size)   # checks block_size
-    interval = TimeInterval(src.poc - ref.poc)
-    mvs = _search_blocks(src, ref, 0, 0, src.width, src.height,
-                         block_size, block_size, search_range)
-    field = MotionField.empty(src.poc, src.width, src.height)
-    step = block_size // CELL_SIZE
-    field.mv[...] = mvs[np.arange(field.cells_y)[:, None] // step,
-                        np.arange(field.cells_x) // step]
-    field.mv_valid[...] = True
-    field.ref_distance[...] = interval.ticks
-    return field
+    """``search_fields`` at one block size."""
+    return search_fields(src, ref, [block_size], search_range)[0]
 
 
 def estimate_field(

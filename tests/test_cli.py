@@ -375,7 +375,9 @@ def test_traced_cli_reproduces_the_preset_digests(tmp_path):
     written, names, counts = _run_traced(tmp_path, "predict", "accel_sweep.ini", "predict")
     assert written == {k: v for k, v in PRESET_DIGESTS.items()
                        if k.startswith("predict/")}
-    assert {"config.load", "sequences.load", "evaluation.run_rate_point",
+    # The frame-outer runner opens no rate point span; the derivation span
+    # shows the tracer's patch of evaluation still reaches the runner.
+    assert {"config.load", "sequences.load", "motion_field.derive_field_params",
             "evaluation.write"} <= names
     # The frame kernels reach _extrapolate_scaled through predictor's global.
     assert counts["kinematics.extrapolations"] > 0

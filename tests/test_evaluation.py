@@ -28,8 +28,8 @@ from uamm import (
     synth_sequence,
     write_yuv,
 )
-from uamm import evaluation
-from uamm.evaluation import _ModeTally, _signed_exp_golomb_bits
+from uamm import evaluation, predictor
+from uamm.evaluation import MODES, _ModeTally, _signed_exp_golomb_bits
 from uamm.motion_field import CELL_SIZE
 
 CURVE = [RdPoint(100.0, 30.0), RdPoint(180.0, 33.0),
@@ -302,6 +302,47 @@ def test_experiment_writes_rd_curves_on_request(tmp_path):
     assert len(body) == 3  # header plus two rate points
     rate, quality = body[1].split()
     assert float(rate) > 0 and float(quality) > 0
+
+
+# ------------------------------------------------- shared search per range
+
+MIXED_POINTS = (RatePoint("p8", 8, 3), RatePoint("p12", 12, 5),
+                RatePoint("p16", 16, 3), RatePoint("p12b", 12, 3))
+
+
+def test_interleaved_rate_points_match_one_run_per_point(tmp_path):
+    """Rate points at mixed search ranges, run together with a search pass
+    shared per range, give each point's lone run's tallies and rows, in
+    config order."""
+    source = accel_source(frames=5)
+    frames = source.load()
+    together = evaluation._run_rate_points(frames, MIXED_POINTS, MODES, 32)
+    alone = [evaluation._run_rate_point(frames, rp, MODES, 32) for rp in MIXED_POINTS]
+    assert together == alone
+    rows = run_experiment(make_config(tmp_path, source, rate_points=MIXED_POINTS)).rows
+    assert [(r.rate_point, r.mode) for r in rows] == [
+        (rp.label, m) for rp in MIXED_POINTS for m in MODES]
+    lone_rows = [row for rp in MIXED_POINTS
+                 for row in run_experiment(make_config(tmp_path / rp.label, source,
+                                                       rate_points=(rp,))).rows]
+    assert rows == lone_rows
+
+
+def test_rate_points_at_one_range_share_each_abs_difference_plane(monkeypatch):
+    """Four block sizes at range 2 search each frame pair with 25 planes,
+    one per candidate offset; prediction adds one plane per rate point and
+    mode."""
+    calls, block_sads = [], predictor._block_sads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block_sads(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "_block_sads", counting)
+    frames = accel_source(frames=4).load()
+    points = tuple(RatePoint(f"b{bs}", bs, 2) for bs in (8, 12, 16, 32))
+    evaluation._run_rate_points(frames, points, ("uniform",), 32)
+    assert len(calls) == (len(frames) - 1) * (25 + len(points))
 
 
 # ------------------------------------------------ frame pass vs block loop

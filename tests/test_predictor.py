@@ -27,6 +27,7 @@ from uamm import (
     predict_frame,
     predict_uniform,
     search_field,
+    search_fields,
     synth_sequence,
 )
 from uamm.interp import sample_block, sample_subblocks
@@ -246,6 +247,15 @@ def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, searc
             cells = field.mv[block.y // 4:(block.y + block.h) // 4,
                              block.x // 4:(block.x + block.w) // 4]
             assert (cells == (mv.x, mv.y)).all()
+    # One shared pass for all six sizes at once: gcd 4, sizes that do not
+    # nest (12/20/28) and clipped edge tiles.
+    fields = search_fields(src, ref, list(block_sizes), search_range)
+    assert len(fields) == len(block_sizes)
+    for block_size, field in zip(block_sizes, fields):
+        for (x, y), mv in want[block_size].items():
+            cells = field.mv[y // 4:(y + block_size) // 4, x // 4:(x + block_size) // 4]
+            assert (cells == (mv.x, mv.y)).all()
+        assert field.mv_valid.all() and (field.ref_distance == 1).all()
     assert np.array_equal(src.luma, luma_src) and np.array_equal(ref.luma, luma_ref)
 
 
@@ -257,6 +267,10 @@ def test_frame_kernels_validate_inputs():
         search_field(frame(wide), frame(luma, poc=-1), 8, 1)
     with pytest.raises(ValueError, match="multiples of 4"):
         search_field(frame(luma), frame(luma, poc=-1), 6, 1)
+    with pytest.raises(ValueError, match="multiples of 4"):
+        search_fields(frame(luma), frame(luma, poc=-1), [], 1)
+    with pytest.raises(ValueError, match="multiples of 4"):
+        search_fields(frame(luma), frame(luma, poc=-1), [8, 6], 1)
     field = search_field(frame(luma), frame(luma, poc=-1), 8, 1)
     with pytest.raises(ValueError, match="leaves the 16x16 frame"):
         predict_frame(frame(wide), frame(luma), field, 8)
