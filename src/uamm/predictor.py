@@ -11,8 +11,9 @@ Two modes share one integer-pel motion search:
 
 The frame is the unit of work: ``search_fields`` full-searches every
 block of one frame tiling per block size in one pass over the candidate
-offsets, one abs-difference plane per offset shared by every block size,
-and ``predict_frame`` predicts every block of a frame in one mode in one
+offsets, one uint8 abs-difference plane per offset shared by every block
+size, every block's best updated once per chunk of 16 offsets, and
+``predict_frame`` predicts every block of a frame in one mode in one
 batch over its 4x4 cell grid. ``search_field`` is the one-size case of
 the search; ``full_search_me``, ``predict_uniform`` and ``predict_uamm``
 are the one-block cases of the same kernels.
@@ -103,37 +104,52 @@ def _check_block_in_frame(frame: FrameBuffer, block: BlockSpec) -> None:
         )
 
 
-def _tile_sums(plane: np.ndarray, th: int, tw: int) -> np.ndarray:
+# A tile's rows of a uint8 plane sum exactly in uint16 while the tile is
+# at most 257 rows (257 * 255 = 2**16 - 1), in uint32 beyond.
+_UINT16_ROWS = 257
+# Candidate offsets whose SADs are pooled and compared at once.
+_CHUNK = 16
+
+
+def _tile_sums(plane: np.ndarray, th: int, tw: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sums of ``plane`` over th x tw tiles of its last two axes, int64.
 
     Tiles run from the top left corner; the last row and column of tiles
     are clipped at the edges. Each tile's rows are added first as whole
-    row vectors into int32 partials (zero rows pad the last tile row), then
-    the partials along x with ``np.add.reduceat``.
+    row vectors (zero rows pad the last tile row) into exact partials:
+    uint16 or uint32 for a uint8 plane, int32 otherwise. The partials are
+    then added along x with ``np.add.reduceat``, into ``out`` if given.
     """
     *lead, rows, cols = plane.shape
     tiles_y = -(-rows // th)
     if tiles_y * th > rows:
         pad = np.zeros((*lead, tiles_y * th - rows, cols), dtype=plane.dtype)
         plane = np.concatenate((plane, pad), axis=-2)
-    part = plane.reshape(*lead, tiles_y, th, cols).sum(axis=-2, dtype=np.int32)
-    return np.add.reduceat(part, np.arange(0, cols, tw), axis=-1, dtype=np.int64)
+    if plane.dtype != np.uint8:
+        acc = np.int32
+    else:
+        acc = np.uint16 if th <= _UINT16_ROWS else np.uint32
+    part = np.add.reduce(plane.reshape(*lead, tiles_y, th, cols), axis=-2, dtype=acc)
+    return np.add.reduceat(part, np.arange(0, cols, tw), axis=-1, dtype=np.int64, out=out)
 
 
 def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
-                scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """SAD of each bh x bw block tiling two equal uint8 planes.
+                scratch: Optional[np.ndarray] = None,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """SAD of each bh x bw block tiling two equal uint8 planes, int64.
 
-    The |differences| (<= 255, exact in int16) go into one int16 plane,
-    ``scratch`` if given: zeros, as wide as the planes and as high as
-    their tile rows, so its rows past the planes stay zero.
+    The |differences|, max - min, go into one uint8 plane, ``scratch`` if
+    given: zeros, as wide as the planes and as high as their tile rows, so
+    its rows past the planes stay zero. The block sums go into ``out`` if
+    given, a (tiles_y, tiles_x) int64 array.
     """
     h, w = src.shape
     if scratch is None:
-        scratch = np.zeros((-(-h // bh) * bh, w), dtype=np.int16)
-    diff = np.subtract(pred, src, out=scratch[:h], dtype=np.int16)
-    np.abs(diff, out=diff)
-    return _tile_sums(scratch, bh, bw)
+        scratch = np.zeros((-(-h // bh) * bh, w), dtype=np.uint8)
+    plane = np.maximum(pred, src, out=scratch[:h])
+    np.subtract(plane, np.minimum(pred, src), out=plane)
+    return _tile_sums(scratch, bh, bw, out)
 
 
 def _search_order(search_range: int) -> list[tuple[int, int]]:
@@ -151,14 +167,15 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
 
     The rect must lie inside both frames. Candidates reaching outside the
     reference replicate its border pixels, matching the compensation path.
-    Each offset's abs-difference plane is built once and summed over the
-    tiles of the gcd of the tile sizes, whose edges every tiling shares;
-    those sums pool exactly, in int64, to each tiling's block SADs.
-    Offsets are visited in ``_search_order``, and a later one replaces a
-    block's best only with a strictly smaller SAD, so each result is the
-    unique tie-break winner. Returns one (rows, cols, 2) int64 array of
-    vectors in 1/16-pel units per entry of ``tiles``. Neither frame is
-    written.
+    Each offset's uint8 abs-difference plane is built once and summed over
+    the tiles of the gcd of the tile sizes, whose edges every tiling
+    shares. The offsets go in ``_search_order`` in chunks of ``_CHUNK``:
+    the chunk's gcd-tile SADs pool exactly, in int64, to each tiling's
+    block SADs, and each block takes its chunk's first minimum, the
+    earliest offset, which replaces its running best only if strictly
+    smaller, so each result is the unique tie-break winner. Returns one
+    (rows, cols, 2) int64 array of vectors in 1/16-pel units per entry of
+    ``tiles``. Neither frame is written.
     """
     if search_range < 0:
         raise ValueError(f"search range must be non-negative, got {search_range}")
@@ -173,32 +190,40 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     padded = ref.luma[rows[:, None], cols]
     target = src.luma[y:y + h, x:x + w]
     gh, gw = math.gcd(*(bh for bh, _ in tiles)), math.gcd(*(bw for _, bw in tiles))
-    scratch = np.zeros((-(-h // gh) * gh, w), dtype=np.int16)
-    # Every tiling keeps its running bests in its own slice of one flat
-    # vector, pooled from the gcd tile grid at its first tile rows and
-    # columns.
-    starts = [(np.arange(0, -(-h // gh), bh // gh), np.arange(0, -(-w // gw), bw // gw))
+    scratch = np.zeros((-(-h // gh) * gh, w), dtype=np.uint8)
+    grid = np.empty((_CHUNK, -(-h // gh), -(-w // gw)), dtype=np.int64)
+    # Every tiling's block SADs sit in its own columns of one (_CHUNK,
+    # blocks) stack, pooled from the gcd tile grid at its first tile rows
+    # and columns; the running bests are flat vectors over those columns.
+    starts = [(np.arange(0, grid.shape[1], bh // gh), np.arange(0, grid.shape[2], bw // gw))
               for bh, bw in tiles]
     bounds = np.cumsum([0] + [len(ys) * len(xs) for ys, xs in starts]).tolist()
-    best = np.full(bounds[-1], np.iinfo(np.int64).max)
-    best_dx, best_dy = np.zeros_like(best), np.zeros_like(best)
-    sads = np.empty_like(best)
-    views = [sads[lo:hi].reshape(len(ys), len(xs))
+    sads = np.empty((_CHUNK, bounds[-1]), dtype=np.int64)
+    views = [sads[:, lo:hi].reshape(_CHUNK, len(ys), len(xs))
              for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
-    better = np.empty(best.shape, dtype=bool)
-    for dy, dx in _search_order(r):
-        grid = _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
-                           gh, gw, scratch)
+    best = np.full(bounds[-1], np.iinfo(np.int64).max)
+    best_at = np.zeros(bounds[-1], dtype=np.int64)
+    order = _search_order(r)
+    blocks = np.arange(bounds[-1])
+    for first in range(0, len(order), _CHUNK):
+        chunk = order[first:first + _CHUNK]
+        n = len(chunk)
+        for k, (dy, dx) in enumerate(chunk):
+            _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
+                        gh, gw, scratch, grid[k])
         for tile, (ys, xs), view in zip(tiles, starts, views):
             if tile == (gh, gw):
-                view[...] = grid
+                view[:n] = grid[:n]
             else:
-                np.add.reduceat(np.add.reduceat(grid, ys, axis=0), xs, axis=1, out=view)
-        np.less(sads, best, out=better)
-        np.copyto(best, sads, where=better)
-        np.copyto(best_dx, dx, where=better)
-        np.copyto(best_dy, dy, where=better)
-    mvs = np.stack((best_dx, best_dy), axis=-1) * MV_UNITS_PER_PEL
+                np.add.reduceat(np.add.reduceat(grid[:n], ys, axis=1), xs, axis=2,
+                                out=view[:n])
+        at = np.argmin(sads[:n], axis=0)    # the first minimum: earliest offset
+        sad = sads[at, blocks]
+        better = sad < best
+        best[better] = sad[better]
+        best_at[better] = at[better] + first
+    dy, dx = np.array(order, dtype=np.int64)[best_at].T
+    mvs = np.stack((dx, dy), axis=-1) * MV_UNITS_PER_PEL
     if r * MV_UNITS_PER_PEL > MV_MAX:   # only so wide a range can leave it
         for mv in mvs.tolist():
             MotionVector(*mv)

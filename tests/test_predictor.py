@@ -30,6 +30,7 @@ from uamm import (
     search_fields,
     synth_sequence,
 )
+from uamm import predictor
 from uamm.interp import sample_block, sample_subblocks
 
 P = PARAM_SCALE
@@ -257,6 +258,102 @@ def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, searc
             assert (cells == (mv.x, mv.y)).all()
         assert field.mv_valid.all() and (field.ref_distance == 1).all()
     assert np.array_equal(src.luma, luma_src) and np.array_equal(ref.luma, luma_ref)
+
+
+_CHUNK_CASES = [(kinds, r) for kinds in [("levels", "levels"), ("periodic", "periodic"),
+                                         ("periodic", "flat")]
+                for r in (1, 8)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, predictor._CHUNK])
+@pytest.mark.parametrize("kinds,search_range", _CHUNK_CASES,
+                         ids=[f"{a}-{b}-r{r}" for (a, b), r in _CHUNK_CASES])
+def test_search_tie_break_holds_across_chunk_boundaries(monkeypatch, chunk, kinds,
+                                                        search_range):
+    """``search_fields`` against ``_brute_force_vectors`` with the offsets
+    compared one at a time, in chunks of 7, which split the |dx|+|dy|
+    rings at other places than the default, and in the default chunks;
+    range 1 fits in one chunk, range 8's 289 offsets end in a short one."""
+    monkeypatch.setattr(predictor, "_CHUNK", chunk)
+    rng = np.random.default_rng(search_range * 10 + len(kinds[0]) + len(kinds[1]))
+    luma_src, luma_ref = (_low_entropy(k, rng, 80, 72) for k in kinds)
+    block_sizes = (4, 12, 16, 20, 28, 64)
+    want = _brute_force_vectors(luma_src, luma_ref, block_sizes, search_range)
+    fields = search_fields(frame(luma_src, poc=1), frame(luma_ref), list(block_sizes),
+                           search_range)
+    for block_size, field in zip(block_sizes, fields):
+        for (x, y), mv in want[block_size].items():
+            assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
+
+
+def _int64_tile_sads(a, b, th, tw):
+    diff = np.abs(a.astype(np.int64) - b)
+    h, w = diff.shape
+    return [[int(diff[y:y + th, x:x + tw].sum()) for x in range(0, w, tw)]
+            for y in range(0, h, th)]
+
+
+def test_search_sums_stay_exact_past_the_uint16_row_bound():
+    """A tile's rows sum in uint16 only while the tile is at most 257 rows
+    (257 * 255 = 2**16 - 1). All-0 against all-255 frames with blocks 260
+    rows high, and a reference whose white rows end at row 261: a block of
+    260 rows at offset dy sees min(260, 261 - dy) white rows, so the best
+    offset, dy = 4, sums to 257 * 255 per column while dy = 3, at 258 rows,
+    would wrap to 254 in uint16 and win."""
+    black = np.zeros((264, 264), dtype=np.uint8)
+    white = np.full_like(black, 255)
+    field = search_field(frame(black, poc=1), frame(white), 260, 1)
+    assert not field.mv.any()
+    assert full_search_me(frame(black[:, :8], poc=1), frame(white[:, :8]),
+                          BlockSpec(0, 0, 8, 260), 2) == MotionVector(0, 0)
+    for th in (256, 257, 258, 260, 264):
+        got = predictor._block_sads(black, white, th, 8)
+        assert got.dtype == np.int64
+        assert got.tolist() == _int64_tile_sads(black, white, th, 8)
+    stairs = np.zeros((268, 4), dtype=np.uint8)
+    stairs[:261] = 255
+    mv = full_search_me(frame(np.zeros_like(stairs), poc=1), frame(stairs),
+                        BlockSpec(0, 0, 4, 260), 4)
+    assert mv == MotionVector(0, 4 * 16)
+    assert predictor._block_sads(np.zeros((260, 4), dtype=np.uint8), stairs[4:264],
+                                 260, 4).tolist() == [[257 * 255 * 4]]
+
+
+@st.composite
+def _sad_planes(draw):
+    """Two pairs of equal-shape uint8 planes of 1-80 rows and columns, the
+    candidate a view into a wider plane as in the search, and tiles of 4-64
+    rows and 1-64 columns, so edge tiles clip on either axis."""
+    h, w = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    th, tw = draw(st.integers(4, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([np.arange(256), np.array([0, 255]), np.array([7])]))
+
+    def plane():
+        return rng.choice(levels, (h, w)).astype(np.uint8)
+
+    def candidate():
+        return rng.choice(levels, (h + 2, w + 3)).astype(np.uint8)[1:h + 1, 2:w + 2]
+
+    return (plane(), candidate()), (plane(), candidate()), th, tw
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sad_planes())
+def test_block_sads_matches_an_int64_tile_sum(case):
+    """``_block_sads`` against an int64 |a - b| tile sum, twice on one
+    reused scratch whose pad rows it must leave zero, once into ``out``
+    and once with its own scratch."""
+    (a, b), (c, d), th, tw = case
+    h, w = a.shape
+    scratch = np.zeros((-(-h // th) * th, w), dtype=np.uint8)
+    assert predictor._block_sads(a, b, th, tw, scratch).tolist() == _int64_tile_sads(a, b, th, tw)
+    assert not scratch[h:].any()
+    out = np.empty((-(-h // th), -(-w // tw)), dtype=np.int64)
+    assert predictor._block_sads(c, d, th, tw, scratch, out) is out
+    assert out.tolist() == _int64_tile_sads(c, d, th, tw)
+    assert not scratch[h:].any()
+    assert predictor._block_sads(b, a, th, tw).tolist() == _int64_tile_sads(a, b, th, tw)
 
 
 def test_frame_kernels_validate_inputs():
