@@ -14,14 +14,13 @@ Run from the repository root: python3 scripts/accel_demo.py
 import numpy as np
 
 from uamm import (
-    BlockSpec,
     MotionVector,
     TimeInterval,
     TrajectorySpec,
     derive_field_params,
     field_from_global_mv,
-    predict_uamm,
-    predict_uniform,
+    predict_frame,
+    search_field,
     synth_sequence,
 )
 
@@ -44,16 +43,11 @@ def footprint(k):
     return x0, y0, x1, y1
 
 
-def object_sad(frame, pred_block, block, rect):
-    ox0, oy0, ox1, oy1 = rect
-    ix0, ix1 = max(block.x, ox0), min(block.x + block.w, ox1)
-    iy0, iy1 = max(block.y, oy0), min(block.y + block.h, oy1)
-    if ix0 >= ix1 or iy0 >= iy1:
-        return 0
-    src = frame.luma[iy0:iy1, ix0:ix1].astype(np.int64)
-    pred = pred_block[iy0 - block.y:iy1 - block.y,
-                      ix0 - block.x:ix1 - block.x].astype(np.int64)
-    return int(np.abs(src - pred).sum())
+def object_sad(frame, pred, rect):
+    """SAD between the frame and its prediction over the patch footprint."""
+    x0, y0, x1, y1 = rect
+    src = frame.luma[y0:y1, x0:x1].astype(np.int64)
+    return int(np.abs(src - pred[y0:y1, x0:x1]).sum())
 
 
 def main():
@@ -66,16 +60,12 @@ def main():
         f_prev1 = field_from_global_mv(
             k - 1, SIZE, SIZE, MotionVector(-gt[k - 2].x, -gt[k - 2].y), tick)
         ref_field = derive_field_params(f_prev1, f_prev2)
+        field = search_field(frames[k], frames[k - 1], BLOCK, SEARCH)
+        base = predict_frame(frames[k], frames[k - 1], field, BLOCK)
+        refined = predict_frame(frames[k], frames[k - 1], field, BLOCK, ref_field)
         rect = footprint(k)
-        sad_uni = sad_uamm = 0
-        for by in range(0, SIZE, BLOCK):
-            for bx in range(0, SIZE, BLOCK):
-                block = BlockSpec(bx, by, BLOCK, BLOCK)
-                base = predict_uniform(frames[k], frames[k - 1], block, SEARCH)
-                res = predict_uamm(frames[k], frames[k - 1], ref_field,
-                                   block, SEARCH, 1, 1, 1)
-                sad_uni += object_sad(frames[k], base.pred_block, block, rect)
-                sad_uamm += object_sad(frames[k], res.pred_block, block, rect)
+        sad_uni = object_sad(frames[k], base.pred, rect)
+        sad_uamm = object_sad(frames[k], refined.pred, rect)
         mv = f"({gt[k - 1].x}, {gt[k - 1].y})"
         print(f"{k:>5} {mv:>12} {sad_uni:>12} {sad_uamm:>9}")
 

@@ -5,7 +5,10 @@ velocity and acceleration) are integers scaled by ``PARAM_SCALE`` so the
 derivation keeps sub-unit precision. Every operation runs in exact widened
 integer arithmetic and applies a single half-away-from-zero rounding to
 each result; intermediates that would leave the signed 64-bit range raise
-``OverflowError`` instead of wrapping.
+``OverflowError`` instead of wrapping. The solve, the extrapolation and
+the rounding are each written once, with plain operators, and take ints
+or whole int64 arrays: ints are checked on every numerator, arrays once
+against a bound before any array arithmetic.
 
 The model: an object moving with initial velocity v0 and constant
 acceleration a covers a displacement of ``v0*t + a*t*t/2`` in t ticks and
@@ -123,36 +126,28 @@ class UammParams:
         return cls(v0x, v0y, ax, ay, ParamKind.ACCELERATED)
 
 
-def div_round_half_away(num: int, den: int) -> int:
+def div_round_half_away(num, den):
     """Divide and round half away from zero. ``den`` must be positive.
 
     This is the single rounding rule used everywhere in the package, so a
-    change here would show up in every frozen expected value.
-    ``div_round_half_away_array`` applies it to int64 arrays.
+    change here would show up in every frozen expected value. An int
+    ``num`` is divided exactly, whatever its size. Any other ``num`` is
+    taken as an int64 array, divided elementwise by ``den``, a positive
+    int or int array broadcasting against it; its entries must lie within
+    +-(2**63 - 1), which callers check beforehand.
     """
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
-    if num >= 0:
-        return (num + den // 2) // den
-    return -((-num + den // 2) // den)
-
-
-def div_round_half_away_array(num: np.ndarray, den) -> np.ndarray:
-    """``div_round_half_away`` elementwise over an integer array, in int64.
-
-    ``den`` is a positive int or int64 array broadcasting against ``num``.
-    Entries of ``num`` must lie within +-(2**63 - 1), which callers check
-    beforehand. Kept apart from the scalar function so its scalar callers
-    pay no type dispatch.
-    """
-    if np.any(den <= 0):
-        raise ValueError(f"denominator must be positive, got {np.min(den)}")
-    num = np.asarray(num, dtype=np.int64)
+    if isinstance(num, int):
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+    else:
+        num = np.asarray(num, dtype=np.int64)
+        if np.any(den <= 0):
+            raise ValueError(f"denominator must be positive, got {np.min(den)}")
     # |num| = q*den + r rounds up from r >= ceil(den/2), with no sum that
     # could leave the int64 range.
-    mag, r = np.divmod(np.abs(num), den)
+    mag, r = divmod(abs(num), den)
     mag += r >= den - den // 2
-    mag *= np.sign(num)
+    mag *= 2 * (num >= 0) - 1
     return mag
 
 
@@ -160,14 +155,10 @@ def displacement(p: UammParams, t: TimeInterval) -> MotionVector:
     """Displacement accumulated over ``t`` ticks, as a motion vector.
 
     Computed per axis as round((v0*t + a*t*t/2) / PARAM_SCALE) with a
-    single rounding: the numerator is doubled so the halving stays exact.
+    single rounding: the extrapolation over ``t`` ticks from an empty
+    derivation window.
     """
-    ticks = t.ticks
-    nx = 2 * p.v0x * ticks + p.ax * ticks * ticks
-    ny = 2 * p.v0y * ticks + p.ay * ticks * ticks
-    _check_i64(nx, ny)
-    den = 2 * PARAM_SCALE
-    return MotionVector(div_round_half_away(nx, den), div_round_half_away(ny, den))
+    return MotionVector(*_extrapolate_scaled(p.v0x, p.v0y, p.ax, p.ay, 0, 0, t.ticks))
 
 
 def velocity_at(p: UammParams, t: TimeInterval) -> tuple[int, int]:
@@ -209,7 +200,6 @@ def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1: int):
         _check_i64(tm * s1 * (tm + s1), 2 * PARAM_SCALE * (m1 * tm + m0 * s1),
                    PARAM_SCALE * (m0 * s1 * (2 * tm + s1) + m1 * tm * tm))
         t0 = np.asarray(t0, dtype=np.int64)
-    div = div_round_half_away_array if array else div_round_half_away
     den = t0 * t1 * (t0 + t1)
     def solve_axis(mv0, mv1):
         if array:
@@ -218,7 +208,7 @@ def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1: int):
         na = 2 * PARAM_SCALE * (mv1 * t0 - mv0 * t1)
         if not array:
             _check_i64(nv, na)
-        return div(nv, den), div(na, den)
+        return div_round_half_away(nv, den), div_round_half_away(na, den)
     (v0x, ax), (v0y, ay) = solve_axis(mv0x, mv1x), solve_axis(mv0y, mv1y)
     return v0x, v0y, ax, ay
 
@@ -241,29 +231,30 @@ def _extrapolate_scaled(v0x, v0y, ax, ay, t0: int, t1: int, t2: int):
     """Raw extrapolated displacement over t2 ticks past the t0+t1 segments.
 
     Per axis: v0*t2 + a*t2*(t0+t1) + a*t2*t2/2, i.e. the displacement of
-    the velocity advanced to the end of the derivation window. No motion
-    vector range check is applied here.
+    the velocity advanced to the end of the derivation window, with its
+    numerator doubled so the halving stays exact and rounded once. No
+    motion vector range check is applied here.
 
     The parameters are ints, or integer arrays of one shape extrapolated
-    elementwise into int64 with the same numerator and rounding. An array
-    call checks once, before any array arithmetic, that the tick
-    coefficients and the numerator bound from its largest |v0| and |a|
-    fit in int64, and raises OverflowError otherwise, so numpy never
-    wraps.
+    elementwise into int64 by the same code. An int call checks each
+    numerator; an array call checks once, before any array arithmetic,
+    that the tick coefficients and the numerator bound from its largest
+    |v0| and |a| fit in int64. Either raises OverflowError, so numpy
+    never wraps.
     """
-    span = t0 + t1
-    # Doubled numerator 2*v0*t2 + 2*a*t2*span + a*t2*t2, grouped per parameter.
+    # Doubled numerator 2*v0*t2 + 2*a*t2*(t0+t1) + a*t2*t2, grouped per parameter.
     cv = 2 * t2
-    ca = t2 * (2 * span + t2)
-    den = 2 * PARAM_SCALE
-    if isinstance(v0x, np.ndarray):
+    ca = t2 * (2 * (t0 + t1) + t2)
+    array = isinstance(v0x, np.ndarray)
+    if array:
         v0x, v0y, ax, ay = (np.asarray(a, dtype=np.int64) for a in (v0x, v0y, ax, ay))
         _check_i64(ca, abs(cv) * _max_abs(v0x, v0y) + abs(ca) * _max_abs(ax, ay))
-        return (div_round_half_away_array(cv * v0x + ca * ax, den),
-                div_round_half_away_array(cv * v0y + ca * ay, den))
-    nx = cv * v0x + ca * ax
-    ny = cv * v0y + ca * ay
-    _check_i64(nx, ny)
+    nx, ny = cv * v0x, cv * v0y
+    nx += ca * ax
+    ny += ca * ay
+    if not array:
+        _check_i64(nx, ny)
+    den = 2 * PARAM_SCALE
     return div_round_half_away(nx, den), div_round_half_away(ny, den)
 
 

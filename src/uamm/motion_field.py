@@ -28,7 +28,6 @@ from .kinematics import (
     UammParams,
     _derive_scaled,
     div_round_half_away,
-    div_round_half_away_array,
 )
 
 if TYPE_CHECKING:
@@ -139,9 +138,9 @@ def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mv
     cells of the pixel rect (x, y, w, h): each cell center moved by the
     vector rounded to integer pixels, clamped into the frame. The vector
     (mvx, mvy) is one pair of ints, or one pair of (rows, cols) planes."""
-    div = div_round_half_away_array if isinstance(mvx, np.ndarray) else div_round_half_away
-    px = np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE) + div(mvx, 16)
-    py = np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None] + div(mvy, 16)
+    px = np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE) + div_round_half_away(mvx, 16)
+    py = (np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None]
+          + div_round_half_away(mvy, 16))
     return (np.minimum(np.maximum(py, 0), field.height - 1) // CELL_SIZE,
             np.minimum(np.maximum(px, 0), field.width - 1) // CELL_SIZE)
 

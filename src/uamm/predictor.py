@@ -420,10 +420,28 @@ def predict_frame(
                            field.mv.astype(np.int64), ref_field, t0, t1, t2, delta_max)
 
 
-def _block_mvs(block: BlockSpec, mv: MotionVector) -> np.ndarray:
-    """``mv`` on every 4x4 cell of ``block``, (rows, cols, 2) int64."""
-    return np.tile(np.array([mv.x, mv.y], dtype=np.int64),
-                   (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
+def _predict_block(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_range: int,
+                   initial_mv: Optional[MotionVector], ref_field: Optional[MotionField] = None,
+                   t0: int = 1, t1: int = 1, t2: int = 1,
+                   delta_max: int = DEFAULT_DELTA_MAX) -> PredictionResult:
+    """``_predict_blocks`` on one block, every 4x4 cell carrying
+    ``initial_mv`` or, if that is None, the searched vector. The mode is
+    uamm if any sub-block inherited parameters, else uniform."""
+    mv = initial_mv if initial_mv is not None else full_search_me(
+        src, ref, block, search_range)
+    mvs = np.tile(np.array([mv.x, mv.y], dtype=np.int64),
+                  (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
+    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h, block.h, block.w,
+                          mvs, ref_field, t0, t1, t2, delta_max)
+    return PredictionResult(
+        mode=(PredictionMode.UAMM_REFINED if out.refined[0, 0]
+              else PredictionMode.UNIFORM_BASELINE),
+        initial_mv=mv,
+        subblock_mvs=out.subblock_mvs,
+        pred_block=out.pred,
+        sad=int(out.sads[0, 0]),
+        corrected_count=int(out.corrected[0, 0]),
+    )
 
 
 def predict_uniform(
@@ -434,18 +452,7 @@ def predict_uniform(
     initial_mv: Optional[MotionVector] = None,
 ) -> PredictionResult:
     """Single-vector baseline: search, compensate, report."""
-    mv = initial_mv if initial_mv is not None else full_search_me(
-        src, ref, block, search_range)
-    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h,
-                          block.h, block.w, _block_mvs(block, mv))
-    return PredictionResult(
-        mode=PredictionMode.UNIFORM_BASELINE,
-        initial_mv=mv,
-        subblock_mvs=out.subblock_mvs,
-        pred_block=out.pred,
-        sad=int(out.sads[0, 0]),
-        corrected_count=0,
-    )
+    return _predict_block(src, ref, block, search_range, initial_mv)
 
 
 def predict_uamm(
@@ -469,17 +476,5 @@ def predict_uamm(
     is the uniform baseline, mode included, so a field with no usable
     parameters degrades to the baseline exactly.
     """
-    mv_c = initial_mv if initial_mv is not None else full_search_me(
-        src, ref, block, search_range)
-    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h,
-                          block.h, block.w, _block_mvs(block, mv_c), ref_field,
+    return _predict_block(src, ref, block, search_range, initial_mv, ref_field,
                           t0, t1, t2, delta_max)
-    return PredictionResult(
-        mode=(PredictionMode.UAMM_REFINED if out.refined[0, 0]
-              else PredictionMode.UNIFORM_BASELINE),
-        initial_mv=mv_c,
-        subblock_mvs=out.subblock_mvs,
-        pred_block=out.pred,
-        sad=int(out.sads[0, 0]),
-        corrected_count=int(out.corrected[0, 0]),
-    )

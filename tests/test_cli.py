@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,17 @@ def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*/*")}
     assert written == PRESET_DIGESTS
+
+
+def test_accel_demo_predicts_the_accelerating_patch_exactly(capsys):
+    # scripts/accel_demo.py: the refined mode reproduces the sub-pel
+    # accelerating patch, the integer-pel single-vector baseline cannot.
+    runpy.run_path(str(PRESETS.parent / "accel_demo.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "    3     (96, 40)         5531         0",
+        "    4    (128, 56)         3513         0",
+        "    5    (160, 72)         3611         0",
+    ]
 
 
 def _run_traced(tmp_path, command, preset, out_name):

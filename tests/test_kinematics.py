@@ -22,7 +22,7 @@ from uamm import (
     tmvp_scale,
     velocity_at,
 )
-from uamm.kinematics import _derive_scaled, _extrapolate_scaled, div_round_half_away_array
+from uamm.kinematics import _derive_scaled, _extrapolate_scaled
 
 P = PARAM_SCALE
 I64_MAX = 2**63 - 1
@@ -34,6 +34,16 @@ def params(v0x, v0y, ax, ay):
 
 def tick(n):
     return TimeInterval(n)
+
+
+def _round_half_away(q):
+    """The exact rational ``q`` rounded half away from zero."""
+    magnitude = math.floor(abs(q) + Fraction(1, 2))
+    return magnitude if q >= 0 else -magnitude
+
+
+def _fits_i64(*values):
+    return all(-I64_MAX - 1 <= v <= I64_MAX for v in values)
 
 
 # ---------------------------------------------------------------- rounding
@@ -49,28 +59,34 @@ def tick(n):
     (0, 5, 0),
     (10, 5, 2),
     (-2**31, 16, -2**27),  # abs() of the int32 minimum would wrap
+    (2**64 + 3, 2, 2**63 + 2),  # ints above int64 stay exact
+    (-(2**80 + 2**79), 2**80, -2),  # -1.5 away from zero
 ])
 def test_rounding_frozen_cases(num, den, expected):
-    assert div_round_half_away(num, den) == expected
-    assert div_round_half_away_array(np.array([num]), den).tolist() == [expected]
-    assert div_round_half_away_array(np.array([num]), np.array([den])).tolist() == [expected]
-    assert div_round_half_away_array(np.array([num], dtype=np.int32), den).tolist() == [expected]
+    got = div_round_half_away(num, den)
+    assert type(got) is int and got == expected
+    if not _fits_i64(num):
+        return
+    # The same call rounds int64 arrays, and int32 ones widened to int64.
+    assert div_round_half_away(np.array([num]), den).tolist() == [expected]
+    assert div_round_half_away(np.array([num]), np.array([den])).tolist() == [expected]
+    if -2**31 <= num < 2**31:
+        got = div_round_half_away(np.array([num], dtype=np.int32), den)
+        assert got.dtype == np.int64 and got.tolist() == [expected]
 
 
 @given(st.one_of(st.integers(-10**12, 10**12), st.integers(-I64_MAX, I64_MAX)),
        st.integers(1, 10**9))
 def test_rounding_matches_rational_half_away(num, den):
-    q = Fraction(num, den)
-    magnitude = math.floor(abs(q) + Fraction(1, 2))
-    expected = magnitude if q >= 0 else -magnitude
+    expected = _round_half_away(Fraction(num, den))
     assert div_round_half_away(num, den) == expected
-    # The int64 array form rounds elementwise, without wrapping at the extremes.
-    got = div_round_half_away_array(np.array([num, -num], dtype=np.int64), den)
+    # An int64 array rounds elementwise, without wrapping at the extremes.
+    got = div_round_half_away(np.array([num, -num], dtype=np.int64), den)
     assert got.dtype == np.int64
     assert got.tolist() == [expected, -expected]
     # and with one denominator per entry
-    got = div_round_half_away_array(np.array([num, num, 1], dtype=np.int64),
-                                    np.array([den, 1, den], dtype=np.int64))
+    got = div_round_half_away(np.array([num, num, 1], dtype=np.int64),
+                              np.array([den, 1, den], dtype=np.int64))
     assert got.tolist() == [expected, num, div_round_half_away(1, den)]
 
 
@@ -80,10 +96,10 @@ def test_rounding_rejects_bad_denominator():
     with pytest.raises(ValueError):
         div_round_half_away(1, -2)
     with pytest.raises(ValueError):
-        div_round_half_away_array(np.array([1]), 0)
+        div_round_half_away(np.array([1]), 0)
     for bad in (0, -2):
         with pytest.raises(ValueError):
-            div_round_half_away_array(np.array([1, 1]), np.array([3, bad]))
+            div_round_half_away(np.array([1, 1]), np.array([3, bad]))
 
 
 # ------------------------------------------------------------ value types
@@ -204,14 +220,19 @@ def _simulate(v0x, v0y, ax, ay, t0, t1):
     return mv0, mv1
 
 
+def _solution_numerators(mv0x, mv0y, mv1x, mv1y, t0, t1):
+    """Exact numerators of scaled (v0x, v0y, ax, ay) over t0*t1*(t0+t1)."""
+    return (P * (mv0x * t1 * (2 * t0 + t1) - mv1x * t0 * t0),
+            P * (mv0y * t1 * (2 * t0 + t1) - mv1y * t0 * t0),
+            2 * P * (mv1x * t0 - mv0x * t1),
+            2 * P * (mv1y * t0 - mv0y * t1))
+
+
 def _rational_solution(mv0, mv1, t0, t1):
     """Exact rational (v0, a) solving the two-segment system, scaled."""
     den = t0 * t1 * (t0 + t1)
-    ax = Fraction(2 * P * (mv1.x * t0 - mv0.x * t1), den)
-    ay = Fraction(2 * P * (mv1.y * t0 - mv0.y * t1), den)
-    v0x = Fraction(P * (mv0.x * t1 * (2 * t0 + t1) - mv1.x * t0 * t0), den)
-    v0y = Fraction(P * (mv0.y * t1 * (2 * t0 + t1) - mv1.y * t0 * t0), den)
-    return v0x, v0y, ax, ay
+    return tuple(Fraction(n, den)
+                 for n in _solution_numerators(mv0.x, mv0.y, mv1.x, mv1.y, t0, t1))
 
 
 @given(st.integers(-64, 64), st.integers(-64, 64),
@@ -296,15 +317,23 @@ _PARAM = st.one_of(_SCALED, st.integers(-2**62, 2**62))
        _TICKS, _TICKS, st.one_of(_TICKS, st.integers(1, 2**40)))
 @example([(0, 0, 0, 0)], 1, 1, 2**40)
 def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
-    """Arrays extrapolate elementwise exactly as the scalar call, and raise
-    OverflowError, never wrap, whenever a scalar numerator would leave int64."""
-    scalar = []
+    """Ints and arrays both extrapolate to the exact rational displacement
+    rounded half away, and raise OverflowError, never wrap: an int call
+    whenever its numerator leaves int64, an array call whenever any row's
+    numerator or the documented bound does."""
+    expected, fits = [], True
     for v0x, v0y, ax, ay in rows:
-        try:
-            scalar.append(_extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2))
-        except OverflowError:
-            scalar = None
-            break
+        # v0*t2 + a*t2*(t0+t1) + a*t2*t2/2 over PARAM_SCALE, doubled.
+        nums = [2 * v * t2 + 2 * a * t2 * (t0 + t1) + a * t2 * t2
+                for v, a in ((v0x, ax), (v0y, ay))]
+        want = tuple(_round_half_away(Fraction(n, 2 * P)) for n in nums)
+        if _fits_i64(*nums):
+            assert _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2) == want
+        else:
+            with pytest.raises(OverflowError):
+                _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
+            fits = False
+        expected.append(want)
     # The array call's documented bound: the acceleration coefficient, and
     # the numerator from its largest |v0| and |a|.
     coeff = t2 * (2 * (t0 + t1) + t2)
@@ -314,13 +343,13 @@ def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
         if dtype == np.int32 and any(abs(v) >= 2**31 for r in rows for v in r):
             continue
         v0x, v0y, ax, ay = (np.array(col, dtype=dtype) for col in zip(*rows))
-        if scalar is None or bound > I64_MAX:
+        if not fits or bound > I64_MAX:
             with pytest.raises(OverflowError):
                 _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
             continue
         x, y = _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
         assert x.dtype == y.dtype == np.int64
-        assert list(zip(x.tolist(), y.tolist())) == scalar
+        assert list(zip(x.tolist(), y.tolist())) == expected
 
 
 _MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))
@@ -331,16 +360,22 @@ _MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))
 @example([(2**55, 0, 0, 0, 1), (0, 0, 0, 0, 32)], 1)  # each row fits, the bound does not
 @example([(MV_MAX, -MV_MAX, -MV_MAX, MV_MAX, 2**20)], 8)
 def test_array_derivation_matches_the_scalar_call(rows, t1):
-    """Arrays derive elementwise exactly as the scalar call, and raise
-    OverflowError, never wrap, whenever a scalar numerator or the
-    documented bound would leave int64."""
-    scalar = []
+    """Ints and arrays both derive the exact rational solution rounded half
+    away, and raise OverflowError, never wrap: an int call whenever one of
+    its numerators leaves int64, an array call whenever any row's
+    numerators or the documented bound do."""
+    expected, fits = [], True
     for row in rows:
-        try:
-            scalar.append(_derive_scaled(*row, t1))
-        except OverflowError:
-            scalar = None
-            break
+        nums = _solution_numerators(*row, t1)
+        t0 = row[4]
+        want = tuple(_round_half_away(Fraction(n, t0 * t1 * (t0 + t1))) for n in nums)
+        if _fits_i64(*nums):
+            assert _derive_scaled(*row, t1) == want
+        else:
+            with pytest.raises(OverflowError):
+                _derive_scaled(*row, t1)
+            fits = False
+        expected.append(want)
     # The array call's documented bound, from the largest |mv0|, |mv1| and t0.
     m0 = max(abs(v) for r in rows for v in r[:2])
     m1 = max(abs(v) for r in rows for v in r[2:4])
@@ -351,13 +386,13 @@ def test_array_derivation_matches_the_scalar_call(rows, t1):
         if dtype == np.int32 and any(abs(v) >= 2**31 for r in rows for v in r):
             continue
         columns = [np.array(col, dtype=dtype) for col in zip(*rows)]
-        if scalar is None or bound > I64_MAX:
+        if not fits or bound > I64_MAX:
             with pytest.raises(OverflowError):
                 _derive_scaled(*columns, t1)
             continue
         solved = _derive_scaled(*columns, t1)
         assert all(a.dtype == np.int64 for a in solved)
-        assert list(zip(*(a.tolist() for a in solved))) == scalar
+        assert list(zip(*(a.tolist() for a in solved))) == expected
 
 
 # ---------------------------------------------------------------- overflow
