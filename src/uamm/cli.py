@@ -75,15 +75,13 @@ def cmd_demo_field(args) -> int:
     cfg = load_config(args.config, out=args.out)
     frames = cfg.source.load()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    prev_field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
+    field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
-        field_k = search_field(frames[k], frames[k - 1], cfg.block_size,
-                               cfg.search_range)
-        derived = derive_field_params(field_k, prev_field)
+        field = derive_field_params(
+            search_field(frames[k], frames[k - 1], cfg.block_size, cfg.search_range), field)
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
         with open(path, "w") as fh:
-            dump_field_csv(derived, fh)
-        prev_field = field_k
+            dump_field_csv(field, fh)
     print(f"wrote {len(frames) - 1} field CSVs to {cfg.output_dir}")
     return 0
 

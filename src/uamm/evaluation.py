@@ -25,6 +25,7 @@ from typing import IO, Optional
 
 import numpy as np
 
+from .kinematics import MV_MAX, MV_UNITS_PER_PEL
 from .motion_field import CELL_SIZE, MotionField, derive_field_params
 from .predictor import (
     DEFAULT_DELTA_MAX,
@@ -155,6 +156,9 @@ def _check_block(block_size: int, search_range: int) -> None:
         raise ValueError(f"block size must be a multiple of 4, got {block_size}")
     if search_range < 0:
         raise ValueError(f"search range must be non-negative, got {search_range}")
+    if search_range * MV_UNITS_PER_PEL > MV_MAX:
+        raise ValueError(f"search range must be at most {MV_MAX // MV_UNITS_PER_PEL} pel, "
+                         f"got {search_range}")
 
 
 @dataclass(frozen=True)
@@ -254,18 +258,18 @@ def _run_rate_points(
     Frames run in order. Each frame is searched once per distinct search
     range, for all rate points at that range, then predicted once per
     rate point and mode, every block at a time. Each rate point keeps its
-    own tallies, returned in rate point order, and its own two previous
-    fields; the tallies add the blocks up in tiling order.
+    own tallies, returned in rate point order, and one field for the uamm
+    mode to read: the one derived for the previous frame, or for the
+    first predicted frame an empty field. The tallies add the blocks up
+    in tiling order.
     """
-    width, height = frames[0].width, frames[0].height
     tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
     by_range: dict[int, list[int]] = {}
     for i, rp in enumerate(rate_points):
         by_range.setdefault(rp.search_range, []).append(i)
 
-    empty = MotionField.empty(frames[0].poc, width, height)
-    # The fields searched for frames k-2 and k-1, per rate point.
-    history = [(empty, empty)] * len(rate_points)
+    first = frames[0]
+    derived = [MotionField.empty(first.poc, first.width, first.height)] * len(rate_points)
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
         searched: dict[int, MotionField] = {}
@@ -273,17 +277,11 @@ def _run_rate_points(
             sizes = [rate_points[i].block_size for i in points]
             searched.update(zip(points, search_fields(src, ref, sizes, search_range)))
         for i, rp in enumerate(rate_points):
-            older, newer = history[i]
-            # Parameters need two searched fields, and only the uamm mode reads them.
-            ref_field = empty
-            if "uamm" in modes and k >= 2:
-                ref_field = derive_field_params(newer, older)
-
             field_k = searched[i]
             mv_bits = _mv_bits(field_k, rp.block_size)
             for m, tally in tallies[i].items():
                 frame = predict_frame(src, ref, field_k, rp.block_size,
-                                      ref_field if m == "uamm" else None,
+                                      derived[i] if m == "uamm" else None,
                                       t0=1, t1=1, t2=1, delta_max=delta_max)
                 sads = frame.sads.ravel().tolist()
                 tally.sad_total += sum(sads)
@@ -294,7 +292,9 @@ def _run_rate_points(
                 tally.corrected += int(frame.corrected.sum())
                 tally.subblocks += frame.subblock_mvs[..., 0].size
                 tally.frame_psnrs.append(psnr(src.luma, frame.pred))
-            history[i] = (newer, field_k)
+            # Only the uamm mode of a later frame reads the parameters.
+            if "uamm" in modes and k + 1 < len(frames):
+                derived[i] = derive_field_params(field_k, derived[i])
     return tallies
 
 

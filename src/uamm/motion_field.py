@@ -9,7 +9,8 @@ Parameter derivation chains two fields: for every cell of the current
 field the stored vector is followed back to the previous field, the
 vector found there supplies the earlier displacement segment, and the
 two-segment solver runs on the pair. Cells whose chain breaks degrade to
-a linear model; cells without any vector stay unavailable.
+a linear model; cells with a zero ref distance hold no vector and stay
+unavailable.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class MotionField:
     width: int
     height: int
     mv: np.ndarray          # (cells_y, cells_x, 2) int32, 1/16-pel units
-    mv_valid: np.ndarray    # (cells_y, cells_x) bool
-    ref_distance: np.ndarray  # (cells_y, cells_x) int32 ticks, 0 where invalid
+    ref_distance: np.ndarray  # (cells_y, cells_x) int32 ticks; 0: the cell has no vector
     v0: np.ndarray          # (cells_y, cells_x, 2) int64, scaled
     acc: np.ndarray         # (cells_y, cells_x, 2) int64, scaled
     kind: np.ndarray        # (cells_y, cells_x) uint8 ParamKind values
@@ -75,7 +75,6 @@ class MotionField:
             width=width,
             height=height,
             mv=np.zeros((cy, cx, 2), dtype=np.int32),
-            mv_valid=np.zeros((cy, cx), dtype=bool),
             ref_distance=np.zeros((cy, cx), dtype=np.int32),
             v0=np.zeros((cy, cx, 2), dtype=np.int64),
             acc=np.zeros((cy, cx, 2), dtype=np.int64),
@@ -96,7 +95,6 @@ class MotionField:
         cy0, cy1 = y // CELL_SIZE, (y + height - 1) // CELL_SIZE + 1
         cx0, cx1 = x // CELL_SIZE, (x + width - 1) // CELL_SIZE + 1
         self.mv[cy0:cy1, cx0:cx1] = (mv.x, mv.y)
-        self.mv_valid[cy0:cy1, cx0:cx1] = True
         self.ref_distance[cy0:cy1, cx0:cx1] = ref_distance.ticks
 
     def cell_at(self, px: int, py: int) -> FieldCell:
@@ -109,7 +107,7 @@ class MotionField:
         return self._cell(cx, cy)
 
     def _cell(self, cx: int, cy: int) -> FieldCell:
-        valid = bool(self.mv_valid[cy, cx])
+        valid = bool(self.ref_distance[cy, cx] > 0)
         mv = MotionVector(*self.mv[cy, cx]) if valid else None
         dist = TimeInterval(int(self.ref_distance[cy, cx])) if valid else None
         params = UammParams(
@@ -128,7 +126,6 @@ def field_from_global_mv(
     """A field in which every cell carries the same vector (global motion)."""
     out = MotionField.empty(poc, width, height)
     out.mv[:, :] = (mv.x, mv.y)
-    out.mv_valid[:, :] = True
     out.ref_distance[:, :] = ref_distance.ticks
     return out
 
@@ -159,18 +156,18 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
         raise ValueError(f"need curr.poc > prev.poc, got {curr.poc} <= {prev.poc}")
     t1 = curr.poc - prev.poc
 
-    valid = curr.mv_valid
+    valid = curr.ref_distance > 0
     src = tuple(c[valid] for c in _displaced_cells(
         prev, 0, 0, curr.cells_x * CELL_SIZE, curr.cells_y * CELL_SIZE,
         curr.mv[..., 0], curr.mv[..., 1]))
-    chained = prev.mv_valid[src]
+    chained = prev.ref_distance[src] > 0
     mv1 = curr.mv[valid]
     # A broken chain repeats the cell's own segment (mv0 = mv1, t0 = t1): the
     # solve is then exactly zero acceleration and velocity mv1/t1, rounded once.
     mv0 = np.where(chained[:, None], prev.mv[src], mv1)
     t0 = np.where(chained, prev.ref_distance[src], t1)
     solved = _derive_scaled(mv0[:, 0], mv0[:, 1], mv1[:, 0], mv1[:, 1], t0, t1)
-    out = replace(curr, mv=curr.mv.copy(), mv_valid=valid.copy(),
+    out = replace(curr, mv=curr.mv.copy(),
                   ref_distance=curr.ref_distance.copy(), v0=np.zeros_like(curr.v0),
                   acc=np.zeros_like(curr.acc), kind=np.zeros_like(curr.kind))
     out.v0[valid, 0], out.v0[valid, 1], out.acc[valid, 0], out.acc[valid, 1] = solved
@@ -181,17 +178,19 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
 
 
 def gather_params(
-    ref_field: MotionField, block: "BlockSpec", mv: MotionVector
+    ref_field: MotionField, x: int, y: int, w: int, h: int, mvx, mvy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter planes inherited by the 4x4 sub-blocks of a block.
+    """Parameter planes inherited by the 4x4 sub-blocks of the pixel rect
+    (x, y, w, h).
 
-    Each sub-block center is displaced by ``mv`` rounded to integer pixels
-    and clamped into the reference frame; the cell found there supplies
-    the sub-block's parameters. Returns ``(v0, acc, kind)`` indexed
-    [row, col] over the sub-blocks: (rows, cols, 2) int64 twice, then
-    (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE).
+    Each sub-block center is displaced by its vector, (mvx, mvy) one pair
+    of ints for the rect or of (rows, cols) planes, rounded to integer
+    pixels and clamped into the reference frame; the cell found there
+    supplies the sub-block's parameters. Returns ``(v0, acc, kind)``
+    indexed [row, col] over the sub-blocks: (rows, cols, 2) int64 twice,
+    then (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE).
     """
-    cells = _displaced_cells(ref_field, block.x, block.y, block.w, block.h, mv.x, mv.y)
+    cells = _displaced_cells(ref_field, x, y, w, h, mvx, mvy)
     return ref_field.v0[cells], ref_field.acc[cells], ref_field.kind[cells]
 
 
@@ -199,7 +198,8 @@ def inherit_params(
     ref_field: MotionField, block: "BlockSpec", mv: MotionVector
 ) -> list[list[UammParams]]:
     """``gather_params`` as one ``UammParams`` per sub-block, [row][col]."""
-    v0, acc, kind = gather_params(ref_field, block, mv)
+    v0, acc, kind = gather_params(ref_field, block.x, block.y, block.w, block.h,
+                                  mv.x, mv.y)
     return [
         [UammParams(vx, vy, ax, ay, ParamKind(k))
          for (vx, vy), (ax, ay), k in zip(v0_row, acc_row, kind_row)]
@@ -217,7 +217,7 @@ def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
     for cy in range(field_obj.cells_y):
         mvx, mvy = field_obj.mv[cy].T.tolist()
         dist = field_obj.ref_distance[cy].tolist()
-        for cx in np.flatnonzero(~field_obj.mv_valid[cy]).tolist():
+        for cx in np.flatnonzero(field_obj.ref_distance[cy] <= 0).tolist():
             mvx[cx] = mvy[cx] = dist[cx] = ""
         kinds = [_KIND_NAMES[k] for k in field_obj.kind[cy].tolist()]
         v0x, v0y = field_obj.v0[cy].T.tolist()

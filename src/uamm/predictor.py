@@ -40,7 +40,7 @@ from .kinematics import (
     TimeInterval,
     _extrapolate_scaled,
 )
-from .motion_field import CELL_SIZE, MotionField, _displaced_cells
+from .motion_field import CELL_SIZE, MotionField, gather_params
 # Unused here; kept because perfbench/traced_cli.py wraps predictor.inherit_params.
 from .motion_field import inherit_params  # noqa: F401
 from .sequences import FrameBuffer
@@ -152,12 +152,13 @@ def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
     return _tile_sums(scratch, bh, bw, out)
 
 
-def _search_order(search_range: int) -> list[tuple[int, int]]:
-    """Candidate (dy, dx) offsets, best tie-break first: smallest |dx|+|dy|,
-    then smallest dy, then smallest dx."""
-    span = range(-search_range, search_range + 1)
-    return sorted(((dy, dx) for dy in span for dx in span),
-                  key=lambda o: (abs(o[0]) + abs(o[1]), o[0], o[1]))
+def _search_order(search_range: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate offsets as (dy, dx) int64 arrays, best tie-break first:
+    smallest |dx|+|dy|, then smallest dy, then smallest dx."""
+    side = 2 * search_range + 1
+    dy, dx = np.indices((side, side), dtype=np.int64).reshape(2, -1) - search_range
+    order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy)))
+    return dy[order], dx[order]
 
 
 def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
@@ -175,10 +176,14 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     earliest offset, which replaces its running best only if strictly
     smaller, so each result is the unique tie-break winner. Returns one
     (rows, cols, 2) int64 array of vectors in 1/16-pel units per entry of
-    ``tiles``. Neither frame is written.
+    ``tiles``. Neither frame is written. The range must keep every
+    vector within ``MV_MAX``.
     """
     if search_range < 0:
         raise ValueError(f"search range must be non-negative, got {search_range}")
+    if search_range * MV_UNITS_PER_PEL > MV_MAX:
+        raise ValueError(f"search range must be at most {MV_MAX // MV_UNITS_PER_PEL} pel, "
+                         f"got {search_range}")
     rect = BlockSpec(x, y, w, h)
     _check_block_in_frame(src, rect)
     _check_block_in_frame(ref, rect)
@@ -203,10 +208,11 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
              for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
     best = np.full(bounds[-1], np.iinfo(np.int64).max)
     best_at = np.zeros(bounds[-1], dtype=np.int64)
-    order = _search_order(r)
+    order_dy, order_dx = _search_order(r)
+    offsets = list(zip(order_dy.tolist(), order_dx.tolist()))
     blocks = np.arange(bounds[-1])
-    for first in range(0, len(order), _CHUNK):
-        chunk = order[first:first + _CHUNK]
+    for first in range(0, len(offsets), _CHUNK):
+        chunk = offsets[first:first + _CHUNK]
         n = len(chunk)
         for k, (dy, dx) in enumerate(chunk):
             _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
@@ -222,11 +228,7 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
         better = sad < best
         best[better] = sad[better]
         best_at[better] = at[better] + first
-    dy, dx = np.array(order, dtype=np.int64)[best_at].T
-    mvs = np.stack((dx, dy), axis=-1) * MV_UNITS_PER_PEL
-    if r * MV_UNITS_PER_PEL > MV_MAX:   # only so wide a range can leave it
-        for mv in mvs.tolist():
-            MotionVector(*mv)
+    mvs = np.stack((order_dx[best_at], order_dy[best_at]), axis=-1) * MV_UNITS_PER_PEL
     return [mvs[lo:hi].reshape(len(ys), len(xs), 2)
             for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
 
@@ -272,7 +274,6 @@ def search_fields(
         step = block_size // CELL_SIZE
         field.mv[...] = mvs[np.arange(field.cells_y)[:, None] // step,
                             np.arange(field.cells_x) // step]
-        field.mv_valid[...] = True
         field.ref_distance[...] = interval.ticks
         fields.append(field)
     return fields
@@ -381,9 +382,8 @@ def _predict_blocks(
         sub = mvs
         corrected = refined = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
     else:
-        cells = _displaced_cells(ref_field, x, y, w, h, mvs[..., 0], mvs[..., 1])
-        v0, acc = ref_field.v0[cells], ref_field.acc[cells]
-        available = ref_field.kind[cells] != ParamKind.UNAVAILABLE
+        v0, acc, kind = gather_params(ref_field, x, y, w, h, mvs[..., 0], mvs[..., 1])
+        available = kind != ParamKind.UNAVAILABLE
         ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
                                      t0, t1, t2)
         raw = np.where(available[..., None], np.stack((ex, ey), axis=-1), mvs)

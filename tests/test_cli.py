@@ -271,6 +271,9 @@ FAST = MINIMAL.replace("start_y = 16", "start_y = 16\nv0x = 64")
     pytest.param(MINIMAL + "\n[predict]\nsearch_range = -1\n", [],
                  id="search_range-file"),
     pytest.param(MINIMAL, ["--search-range", "-1"], id="search_range-flag"),
+    pytest.param(MINIMAL + "\n[predict]\nsearch_range = 2048\n", [],
+                 id="search_range_too_wide-file"),
+    pytest.param(MINIMAL, ["--search-range", "2048"], id="search_range_too_wide-flag"),
     pytest.param(MINIMAL + "\n[rate_points]\nlabels = a, a\nblock_sizes = 8, 16\n",
                  [], id="duplicate_labels-file"),
     pytest.param(MINIMAL + "\n[rate_points]\nlabels =\nblock_sizes =\n", [],

@@ -1,6 +1,7 @@
 """Motion field storage, the chained derivation pass, inheritance, CSV dump."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_empty_field_is_all_unavailable():
 def test_set_block_mv_covers_exactly_the_rect():
     f = MotionField.empty(0, 16, 16)
     f.set_block_mv(4, 4, 8, 8, MotionVector(7, -7), TICK)
-    assert f.mv_valid.sum() == 4
+    assert (f.ref_distance > 0).sum() == 4
     assert f.cell_at(4, 4).mv == MotionVector(7, -7)
     assert f.cell_at(11, 11).mv == MotionVector(7, -7)
     assert f.cell_at(0, 0).mv is None
@@ -211,29 +212,31 @@ def test_derive_overflow_raises_instead_of_wrapping():
     prev, curr = MotionField.empty(1, 8, 8), MotionField.empty(2, 8, 8)
     for f in (prev, curr):
         f.mv[...] = (2**30, 0)
-        f.mv_valid[...] = True
     prev.ref_distance[...] = 2**30
     curr.ref_distance[...] = 1
     with pytest.raises(OverflowError):
         derive_field_params(curr, prev)
 
 
+def _draw_vectors(draw, rng, f):
+    """Fill ``f`` with vectors on a random share of its cells, within a few
+    pels or anywhere up to +-MV_MAX, with ref distances 1-4; the other
+    cells keep a zero vector and a zero distance, which marks them empty."""
+    has_mv = rng.random(f.ref_distance.shape) < draw(st.sampled_from([0, 0.5, 0.9, 1]))
+    limit = draw(st.sampled_from([80, MV_MAX]))
+    f.mv[...] = rng.integers(-limit, limit + 1, f.mv.shape) * has_mv[..., None]
+    f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape) * has_mv
+    return f
+
+
 @st.composite
 def _random_field_pair(draw):
-    """Two fields of one random size, often not a multiple of 4, with random
-    masks, vectors within a few pels or anywhere up to +-MV_MAX, per-cell
-    ref distances 1-4 and a poc gap of 1-3."""
+    """Two fields of one random size, often not a multiple of 4, filled by
+    ``_draw_vectors``, with a poc gap of 1-3."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fields = []
-    for poc in (4, 4 + draw(st.integers(1, 3))):
-        f = MotionField.empty(poc, w, h)
-        f.mv_valid[...] = rng.random(f.mv_valid.shape) < draw(st.sampled_from([0, 0.5, 0.9, 1]))
-        limit = draw(st.sampled_from([80, MV_MAX]))
-        f.mv[...] = rng.integers(-limit, limit + 1, f.mv.shape) * f.mv_valid[..., None]
-        f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape) * f.mv_valid
-        fields.append(f)
-    return fields
+    return [_draw_vectors(draw, rng, MotionField.empty(poc, w, h))
+            for poc in (4, 4 + draw(st.integers(1, 3)))]
 
 
 @given(_random_field_pair())
@@ -247,7 +250,7 @@ def test_derive_field_matches_the_per_cell_solve(pair):
     for cy in range(curr.cells_y):
         for cx in range(curr.cells_x):
             want = UammParams.unavailable()
-            if curr.mv_valid[cy, cx]:
+            if curr.ref_distance[cy, cx] > 0:
                 mvx, mvy = (int(v) for v in curr.mv[cy, cx])
                 px = 4 * cx + 2 + div_round_half_away(mvx, 16)
                 py = 4 * cy + 2 + div_round_half_away(mvy, 16)
@@ -262,6 +265,29 @@ def test_derive_field_matches_the_per_cell_solve(pair):
                 want = UammParams.classify(*solved)
             assert (tuple(out.v0[cy, cx]), tuple(out.acc[cy, cx]), out.kind[cy, cx]) == (
                 (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
+
+
+@st.composite
+def _random_field_chain(draw):
+    """A ``_random_field_pair`` and a third field of its size, older than
+    both, filled by ``_draw_vectors``."""
+    prev, curr = draw(_random_field_pair())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    older = MotionField.empty(draw(st.integers(0, prev.poc - 1)), prev.width, prev.height)
+    return _draw_vectors(draw, rng, older), prev, curr
+
+
+@given(_random_field_chain())
+def test_derive_reads_no_parameters_of_the_previous_field(chain):
+    """Deriving from a derived field equals deriving from the searched one,
+    whatever the field before it holds, so a runner may keep only the
+    field it derived last."""
+    older, prev, curr = chain
+    direct = derive_field_params(curr, prev)
+    chained = derive_field_params(curr, derive_field_params(prev, older))
+    for plane in dataclasses.fields(MotionField):
+        a, b = getattr(chained, plane.name), getattr(direct, plane.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), plane.name
 
 
 # ------------------------------------------------------------- inheritance
@@ -356,29 +382,47 @@ def _random_inheritance(draw):
     mvs = [MotionVector(*rng.integers(-80, 81, 2)) for _ in range(8)]
     far = st.integers(-MV_MAX, MV_MAX)
     mvs.append(MotionVector(draw(far), draw(far)))
-    return f, BlockSpec(bx, by, bw, bh), mvs
+    # One of those vectors per sub-block, as (rows, cols) int64 planes.
+    pick = rng.integers(0, len(mvs), (bh // 4, bw // 4))
+    planes = np.array([(mv.x, mv.y) for mv in mvs], dtype=np.int64)[pick]
+    return f, BlockSpec(bx, by, bw, bh), mvs, planes
 
 
 @given(_random_inheritance())
 def test_inherit_matches_the_displaced_center_cell(case):
-    """The array gather and its scalar wrapper against a per-sub-block
-    ``cell_at`` lookup of the displaced, clamped sub-block center."""
-    f, block, mvs = case
+    """The array gather, with one vector for the block or one per
+    sub-block, and its scalar wrapper against a per-sub-block ``cell_at``
+    lookup of the displaced, clamped sub-block center."""
+    f, block, mvs, planes = case
     rows, cols = block.h // 4, block.w // 4
-    for mv in mvs:
-        v0, acc, kind = gather_params(f, block, mv)
-        grid = inherit_params(f, block, mv)
-        assert v0.shape == acc.shape == (rows, cols, 2) and kind.shape == (rows, cols)
-        assert len(grid) == rows and all(len(row) == cols for row in grid)
+    rect = (block.x, block.y, block.w, block.h)
+
+    def expected(vectors):
+        """The looked-up params, [row][col], of (rows, cols, 2) vectors."""
+        grid = []
         for j in range(rows):
+            grid.append([])
             for i in range(cols):
-                px = block.x + 4 * i + 2 + div_round_half_away(mv.x, 16)
-                py = block.y + 4 * j + 2 + div_round_half_away(mv.y, 16)
-                want = f.cell_at(min(max(px, 0), f.width - 1),
-                                 min(max(py, 0), f.height - 1)).params
-                assert grid[j][i] == want
-                assert (tuple(v0[j, i]), tuple(acc[j, i]), kind[j, i]) == (
-                    (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
+                mvx, mvy = vectors[j, i].tolist()
+                px = block.x + 4 * i + 2 + div_round_half_away(mvx, 16)
+                py = block.y + 4 * j + 2 + div_round_half_away(mvy, 16)
+                grid[j].append(f.cell_at(min(max(px, 0), f.width - 1),
+                                         min(max(py, 0), f.height - 1)).params)
+        return grid
+
+    def assert_gathered(gathered, want):
+        v0, acc, kind = gathered
+        assert v0.shape == acc.shape == (rows, cols, 2) and kind.shape == (rows, cols)
+        assert [[((p.v0x, p.v0y), (p.ax, p.ay), int(p.kind)) for p in row]
+                for row in want] == [
+            [(tuple(v), tuple(a), k) for v, a, k in zip(*row)]
+            for row in zip(v0.tolist(), acc.tolist(), kind.tolist())]
+
+    for mv in mvs:
+        want = expected(np.tile((mv.x, mv.y), (rows, cols, 1)))
+        assert_gathered(gather_params(f, *rect, mv.x, mv.y), want)
+        assert inherit_params(f, block, mv) == want
+    assert_gathered(gather_params(f, *rect, planes[..., 0], planes[..., 1]), expected(planes))
 
 
 # --------------------------------------------------------------- CSV dump
@@ -409,21 +453,22 @@ def test_dump_field_csv_shape_and_values():
 
 @st.composite
 def _random_dump_field(draw):
-    """A field of 1-40 px a side with a random poc, vector mask, vectors
-    and ref distances, and parameters of every kind with either sign;
-    cells without a vector hold unavailable parameters."""
+    """A field of 1-40 px a side with a random poc, vectors, ref distances
+    1-4 on a random share of cells and 0 on the others, and parameters of
+    every kind with either sign; cells without a vector hold unavailable
+    parameters, whatever vector their planes keep."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = MotionField.empty(draw(st.integers(-5, 1000)), w, h)
-    f.mv_valid[...] = rng.random(f.mv_valid.shape) < draw(st.sampled_from([0, 0.5, 1]))
+    has_mv = rng.random(f.ref_distance.shape) < draw(st.sampled_from([0, 0.5, 1]))
     f.mv[...] = rng.integers(-MV_MAX, MV_MAX + 1, f.mv.shape)
-    f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape)
+    f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape) * has_mv
     v0 = rng.integers(-2**40, 2**40, f.v0.shape) * (rng.random((*f.kind.shape, 1)) < 0.7)
     acc = rng.integers(-500, 501, f.acc.shape) * (rng.random((*f.kind.shape, 1)) < 0.5)
     for cy in range(f.cells_y):
         for cx in range(f.cells_x):
             p = UammParams.classify(*v0[cy, cx].tolist(), *acc[cy, cx].tolist())
-            if not f.mv_valid[cy, cx]:
+            if not has_mv[cy, cx]:
                 p = UammParams.unavailable()
             f.v0[cy, cx], f.acc[cy, cx], f.kind[cy, cx] = (p.v0x, p.v0y), (p.ax, p.ay), p.kind
     return f

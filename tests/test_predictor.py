@@ -162,6 +162,9 @@ def test_search_validates_inputs():
         full_search_me(frame(luma), frame(luma), BlockSpec(0, 0, 8, 8), -1)
     with pytest.raises(ValueError):
         full_search_me(frame(luma), frame(luma), BlockSpec(12, 12, 8, 8), 2)
+    # 2048 pel is 32768 units, past MV_MAX: rejected before any offset is searched
+    with pytest.raises(ValueError, match="at most 2047"):
+        search_field(frame(luma, poc=1), frame(luma), 8, 2048)
 
 
 def test_estimate_field_clips_the_tiling_at_the_frame_edges():
@@ -173,7 +176,7 @@ def test_estimate_field_clips_the_tiling_at_the_frame_edges():
         (0, 0, 16, 16), (16, 0, 16, 16), (32, 0, 8, 16),
         (0, 16, 16, 8), (16, 16, 16, 8), (32, 16, 8, 8)]
     assert all(mv == MotionVector(-32, 0) for _, mv in searched)
-    assert field.poc == 3 and field.mv_valid.all()
+    assert field.poc == 3
     assert (field.mv == (-32, 0)).all() and (field.ref_distance == 2).all()
 
 
@@ -256,7 +259,7 @@ def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, searc
         for (x, y), mv in want[block_size].items():
             cells = field.mv[y // 4:(y + block_size) // 4, x // 4:(x + block_size) // 4]
             assert (cells == (mv.x, mv.y)).all()
-        assert field.mv_valid.all() and (field.ref_distance == 1).all()
+        assert (field.ref_distance == 1).all()
     assert np.array_equal(src.luma, luma_src) and np.array_equal(ref.luma, luma_ref)
 
 
