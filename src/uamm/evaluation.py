@@ -65,12 +65,16 @@ class RdPoint:
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio between two 8-bit planes, in dB.
 
-    Identical planes return +inf.
+    Identical planes return +inf. The |differences| stay uint8 and their
+    squares are summed in float64, exactly: the sum is an integer below
+    2**53, so the mean is the one an int64 tally would give.
     """
     if a.shape != b.shape:
         raise ValueError(f"plane shapes differ: {a.shape} vs {b.shape}")
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    mse = float(np.mean(diff * diff))
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)
+    d = diff.ravel().astype(np.float64)
+    mse = float(np.dot(d, d)) / d.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / mse)
@@ -224,9 +228,16 @@ class ExperimentReport:
     bd_summary: list[tuple[str, Optional[float]]] = field(default_factory=list)
 
 
-def _signed_exp_golomb_bits(v: int) -> int:
-    u = 2 * v - 1 if v > 0 else -2 * v
-    return 2 * (u + 1).bit_length() - 1
+def _signed_exp_golomb_bits(v):
+    """Length of the signed exp-Golomb code of ``v``, an int, or of each
+    entry of an int64 array; values must lie within +-2**52."""
+    scalar = isinstance(v, int)
+    if not scalar:
+        v = np.asarray(v, dtype=np.int64)
+    u = 2 * abs(v) - (v > 0)          # 2v - 1 for v > 0, -2v otherwise
+    # u + 1 = m * 2**e with 0.5 <= m < 1: e is its bit length, exact below 2**53.
+    bits = 2 * np.frexp(u + 1)[1] - 1
+    return int(bits) if scalar else bits
 
 
 @dataclass
@@ -246,7 +257,7 @@ def _mv_bits(field: MotionField, block_size: int) -> int:
     step = block_size // CELL_SIZE
     mvs = field.mv[::step, ::step].reshape(-1, 2).astype(np.int64)
     deltas = np.diff(mvs, axis=0, prepend=np.zeros((1, 2), dtype=np.int64))
-    return sum(map(_signed_exp_golomb_bits, deltas.ravel().tolist()))
+    return int(_signed_exp_golomb_bits(deltas).sum())
 
 
 def _run_rate_points(

@@ -5,6 +5,13 @@ synthetic sequence renderer: output = round(sum of the four neighbour
 pixels weighted by the 16ths fractions), with the round carried out half
 away from zero (all weights are non-negative, so +128 before the /256
 floor is exact). A block with one vector is a one-cell sub-block grid.
+
+Every sub-block's source window comes from one flat gather laid out in
+output order. A grid of whole-pel vectors needs no filter: the gather is
+the prediction. Otherwise the filter runs separably in uint16, first
+along x, h = (16-fx)*p0 + fx*p1 (at most 4080), then along y,
+(16-fy)*h0 + fy*h1 (at most 65280, so +128 still fits), which is the
+same integer numerator as the four-tap sum.
 """
 
 from __future__ import annotations
@@ -12,6 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .kinematics import MV_UNITS_PER_PEL
+
+# A 16ths vector splits into whole pels and a fraction by shift and mask,
+# exact floor division for either sign, far cheaper than np.divmod.
+_FRAC_BITS = MV_UNITS_PER_PEL.bit_length() - 1
+assert MV_UNITS_PER_PEL == 1 << _FRAC_BITS
 
 
 def sample_block(
@@ -37,29 +49,34 @@ def sample_subblocks(
     ``mvs`` is a (rows, cols, 2) integer grid; sub-block (j, i) covers
     height/rows x width/cols pixels at its offset in the block, displaced
     by ``mvs[j, i]``. Every sub-block's source window, with replicated
-    borders, comes from one gather.
+    borders, comes from one gather, laid out (rows, sub_h, cols, sub_w)
+    so that it reshapes to the block as it is.
     """
     rows, cols = mvs.shape[:2]
     sub_h, sub_w = height // rows, width // cols
-    pel, frac = np.divmod(mvs, MV_UNITS_PER_PEL)
+    pel, frac = mvs >> _FRAC_BITS, mvs & (MV_UNITS_PER_PEL - 1)
+    e = int(frac.any())   # one more row and column for the filter's taps
     top = y0 + sub_h * np.arange(rows)[:, None] + pel[..., 1]   # (rows, cols)
     left = x0 + sub_w * np.arange(cols) + pel[..., 0]
     # np.minimum/np.maximum: np.clip with int bounds costs 3x more on small arrays.
-    r = np.minimum(np.maximum(top[..., None] + np.arange(sub_h + 1), 0), plane.shape[0] - 1)
-    c = np.minimum(np.maximum(left[..., None] + np.arange(sub_w + 1), 0), plane.shape[1] - 1)
-    window = plane[r[..., :, None], c[..., None, :]].astype(np.int32)
-    frac = frac.astype(np.int32)[..., None, None]
-    fx, fy = frac[:, :, 0], frac[:, :, 1]   # (rows, cols, 1, 1)
-
-    p00 = window[..., :-1, :-1]
-    p10 = window[..., :-1, 1:]
-    p01 = window[..., 1:, :-1]
-    p11 = window[..., 1:, 1:]
-    num = (
-        (16 - fx) * (16 - fy) * p00
-        + fx * (16 - fy) * p10
-        + (16 - fx) * fy * p01
-        + fx * fy * p11
-    )
-    pred = ((num + 128) // 256).astype(np.uint8)   # (rows, cols, sub_h, sub_w)
-    return pred.transpose(0, 2, 1, 3).reshape(height, width)
+    r = np.minimum(np.maximum(top[:, None] + np.arange(sub_h + e)[:, None], 0),
+                   plane.shape[0] - 1)                        # (rows, sub_h+e, cols)
+    c = np.minimum(np.maximum(left[..., None] + np.arange(sub_w + e), 0),
+                   plane.shape[1] - 1)                        # (rows, cols, sub_w+e)
+    # Flat indices r * plane_width + c, each row index repeated along its
+    # sub-block's columns so that the add runs along whole window rows.
+    at = np.repeat(r * plane.shape[1], sub_w + e, axis=-1)
+    at += c.reshape(rows, 1, -1)
+    window = np.take(plane.reshape(-1), at)
+    if not e:
+        return window.reshape(height, width)
+    window = window.reshape(rows, sub_h + 1, cols, sub_w + 1)
+    frac = frac.astype(np.uint16)[:, None, :, None]           # (rows, 1, cols, 1, 2)
+    fx, fy = frac[..., 0], frac[..., 1]
+    h = window[..., :-1] * (16 - fx)
+    h += window[..., 1:] * fx
+    v = h[:, :-1] * (16 - fy)
+    v += h[:, 1:] * fy
+    v += 128
+    v >>= 8
+    return v.astype(np.uint8).reshape(height, width)

@@ -152,13 +152,37 @@ def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
     return _tile_sums(scratch, bh, bw, out)
 
 
-def _search_order(search_range: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate offsets as (dy, dx) int64 arrays, best tie-break first:
-    smallest |dx|+|dy|, then smallest dy, then smallest dx."""
-    side = 2 * search_range + 1
-    dy, dx = np.indices((side, side), dtype=np.int64).reshape(2, -1) - search_range
+def _search_order(dy_lo: int, dy_hi: int, dx_lo: int, dx_hi: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate offsets of the box dy_lo..dy_hi x dx_lo..dx_hi as (dy, dx)
+    int64 arrays, best tie-break first: smallest |dx|+|dy|, then smallest
+    dy, then smallest dx."""
+    dy, dx = np.indices((dy_hi - dy_lo + 1, dx_hi - dx_lo + 1), dtype=np.int64).reshape(2, -1)
+    dy += dy_lo
+    dx += dx_lo
     order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy)))
     return dy[order], dx[order]
+
+
+def _pool(grid: np.ndarray, fy: int, fx: int, out: np.ndarray) -> None:
+    """Sum fy x fx tiles of ``grid``'s last two axes into ``out``.
+
+    ``out`` is (..., ny, nx); ``grid`` holds at least ny * fy rows and
+    nx * fx columns, zeros past its tiles. The tiles' rows are added
+    first, as ``fy`` strided slices, then their columns, as ``fx``.
+    """
+    ny, nx = out.shape[-2:]
+    rows = [grid[..., i:ny * fy:fy, :nx * fx] for i in range(fy)]
+    rowsum = rows[0] if fy == 1 else np.add(rows[0], rows[1])
+    for part in rows[2:]:
+        rowsum += part
+    cols = [rowsum[..., j::fx] for j in range(fx)]
+    if fx == 1:
+        out[...] = cols[0]
+    else:
+        np.add(cols[0], cols[1], out=out)
+    for part in cols[2:]:
+        out += part
 
 
 def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
@@ -168,11 +192,15 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
 
     The rect must lie inside both frames. Candidates reaching outside the
     reference replicate its border pixels, matching the compensation path.
-    Each offset's uint8 abs-difference plane is built once and summed over
-    the tiles of the gcd of the tile sizes, whose edges every tiling
-    shares. The offsets go in ``_search_order`` in chunks of ``_CHUNK``:
-    the chunk's gcd-tile SADs pool exactly, in int64, to each tiling's
-    block SADs, and each block takes its chunk's first minimum, the
+    An offset that moves the rect wholly past a frame edge reads the same
+    replicated border as the offset that just reaches it, so it ties with
+    that nearer offset and loses the tie-break: the search visits only
+    the offsets within the range and within those bounds. Each offset's
+    uint8 abs-difference plane is built once and summed over the tiles of
+    the gcd of the tile sizes, whose edges every tiling shares. The
+    offsets go in ``_search_order`` in chunks of ``_CHUNK``: the chunk's
+    gcd-tile SADs pool exactly, in int64, to each tiling's block SADs by
+    strided adds, and each block takes its chunk's first minimum, the
     earliest offset, which replaces its running best only if strictly
     smaller, so each result is the unique tie-break winner. Returns one
     (rows, cols, 2) int64 array of vectors in 1/16-pel units per entry of
@@ -189,48 +217,50 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     _check_block_in_frame(ref, rect)
 
     r = search_range
+    dy_lo, dy_hi = max(-r, -(y + h - 1)), min(r, ref.height - 1 - y)
+    dx_lo, dx_hi = max(-r, -(x + w - 1)), min(r, ref.width - 1 - x)
     # The reference around the rect, padded once (a copy, never ref.luma).
-    rows = np.clip(np.arange(y - r, y + h + r), 0, ref.height - 1)
-    cols = np.clip(np.arange(x - r, x + w + r), 0, ref.width - 1)
+    rows = np.clip(np.arange(y + dy_lo, y + h + dy_hi), 0, ref.height - 1)
+    cols = np.clip(np.arange(x + dx_lo, x + w + dx_hi), 0, ref.width - 1)
     padded = ref.luma[rows[:, None], cols]
     target = src.luma[y:y + h, x:x + w]
     gh, gw = math.gcd(*(bh for bh, _ in tiles)), math.gcd(*(bw for _, bw in tiles))
-    scratch = np.zeros((-(-h // gh) * gh, w), dtype=np.uint8)
-    grid = np.empty((_CHUNK, -(-h // gh), -(-w // gw)), dtype=np.int64)
+    ty, tx = -(-h // gh), -(-w // gw)
+    # Tiling (bh, bw) pools (bh/gh) x (bw/gw) gcd tiles into each block;
+    # the gcd grid carries zero rows and columns up to the largest whole
+    # number of blocks any tiling needs, which its tiles never write.
+    ratios = [(bh // gh, bw // gw) for bh, bw in tiles]
+    blocks = [(-(-ty // fy), -(-tx // fx)) for fy, fx in ratios]
+    grid = np.zeros((_CHUNK, max(ny * fy for (fy, _), (ny, _) in zip(ratios, blocks)),
+                     max(nx * fx for (_, fx), (_, nx) in zip(ratios, blocks))), dtype=np.int64)
+    scratch = np.zeros((ty * gh, w), dtype=np.uint8)
     # Every tiling's block SADs sit in its own columns of one (_CHUNK,
-    # blocks) stack, pooled from the gcd tile grid at its first tile rows
-    # and columns; the running bests are flat vectors over those columns.
-    starts = [(np.arange(0, grid.shape[1], bh // gh), np.arange(0, grid.shape[2], bw // gw))
-              for bh, bw in tiles]
-    bounds = np.cumsum([0] + [len(ys) * len(xs) for ys, xs in starts]).tolist()
+    # blocks) stack; the running bests are flat vectors over those columns.
+    bounds = np.cumsum([0] + [ny * nx for ny, nx in blocks]).tolist()
     sads = np.empty((_CHUNK, bounds[-1]), dtype=np.int64)
-    views = [sads[:, lo:hi].reshape(_CHUNK, len(ys), len(xs))
-             for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
+    views = [sads[:, lo:hi].reshape(_CHUNK, ny, nx)
+             for (ny, nx), lo, hi in zip(blocks, bounds, bounds[1:])]
     best = np.full(bounds[-1], np.iinfo(np.int64).max)
     best_at = np.zeros(bounds[-1], dtype=np.int64)
-    order_dy, order_dx = _search_order(r)
-    offsets = list(zip(order_dy.tolist(), order_dx.tolist()))
-    blocks = np.arange(bounds[-1])
+    order_dy, order_dx = _search_order(dy_lo, dy_hi, dx_lo, dx_hi)
+    offsets = list(zip((order_dy - dy_lo).tolist(), (order_dx - dx_lo).tolist()))
+    every = np.arange(bounds[-1])
     for first in range(0, len(offsets), _CHUNK):
         chunk = offsets[first:first + _CHUNK]
         n = len(chunk)
-        for k, (dy, dx) in enumerate(chunk):
-            _block_sads(target, padded[r + dy:r + dy + h, r + dx:r + dx + w],
-                        gh, gw, scratch, grid[k])
-        for tile, (ys, xs), view in zip(tiles, starts, views):
-            if tile == (gh, gw):
-                view[:n] = grid[:n]
-            else:
-                np.add.reduceat(np.add.reduceat(grid[:n], ys, axis=1), xs, axis=2,
-                                out=view[:n])
+        for k, (oy, ox) in enumerate(chunk):
+            _block_sads(target, padded[oy:oy + h, ox:ox + w], gh, gw, scratch,
+                        grid[k, :ty, :tx])
+        for (fy, fx), view in zip(ratios, views):
+            _pool(grid[:n], fy, fx, view[:n])
         at = np.argmin(sads[:n], axis=0)    # the first minimum: earliest offset
-        sad = sads[at, blocks]
+        sad = sads[at, every]
         better = sad < best
         best[better] = sad[better]
         best_at[better] = at[better] + first
     mvs = np.stack((order_dx[best_at], order_dy[best_at]), axis=-1) * MV_UNITS_PER_PEL
-    return [mvs[lo:hi].reshape(len(ys), len(xs), 2)
-            for (ys, xs), lo, hi in zip(starts, bounds, bounds[1:])]
+    return [mvs[lo:hi].reshape(ny, nx, 2)
+            for (ny, nx), lo, hi in zip(blocks, bounds, bounds[1:])]
 
 
 def full_search_me(

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm import (
+    MV_MAX,
     BdRateError,
     ExperimentConfig,
     FrameBuffer,
@@ -83,6 +84,40 @@ def test_psnr_decreases_with_error():
     assert all(x > y for x, y in zip(values, values[1:]))
 
 
+@st.composite
+def _psnr_planes(draw):
+    """Two uint8 planes up to 300x300: random, identical, or all-0 against
+    all-255, the largest error a pixel can carry."""
+    h, w = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    kind = draw(st.sampled_from(["random", "close", "same", "extremes"]))
+    if kind == "random":
+        b = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    elif kind == "close":
+        b = np.clip(a.astype(np.int64) + rng.integers(-2, 3, (h, w)), 0, 255).astype(np.uint8)
+    elif kind == "same":
+        b = a.copy()
+    else:
+        a, b = np.zeros((h, w), dtype=np.uint8), np.full((h, w), 255, dtype=np.uint8)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_psnr_planes())
+@example((np.zeros((300, 300), dtype=np.uint8), np.full((300, 300), 255, dtype=np.uint8)))
+@example((np.full((300, 300), 7, dtype=np.uint8),) * 2)
+def test_psnr_equals_the_int64_formula_exactly(planes):
+    """The uint8 |difference| plane with a float64 sum of squares against
+    10 log10(255^2 / mean((a - b)^2)) over int64, bit for bit."""
+    a, b = planes
+    diff = a.astype(np.int64) - b.astype(np.int64)
+    mse = float(np.mean(diff * diff))
+    want = math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
+    assert psnr(a, b) == want
+    assert a.dtype == b.dtype == np.uint8
+
+
 def test_psnr_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
@@ -146,6 +181,13 @@ def test_signed_exp_golomb_code_lengths():
     expected = {0: 1, 1: 3, -1: 3, 2: 5, -2: 5, 3: 5, 4: 7}
     for value, bits in expected.items():
         assert _signed_exp_golomb_bits(value) == bits
+    assert _signed_exp_golomb_bits(np.array(list(expected))).tolist() == list(expected.values())
+    # One array call over every vector delta equals the int call on each.
+    values = np.arange(-2 * MV_MAX, 2 * MV_MAX + 1)
+    got = _signed_exp_golomb_bits(values)
+    assert got.shape == values.shape
+    assert got.tolist() == [_signed_exp_golomb_bits(v) for v in values.tolist()]
+    assert all(type(_signed_exp_golomb_bits(v)) is int for v in (0, -5, 2 * MV_MAX))
 
 
 # ------------------------------------------------------------------- config

@@ -1,5 +1,8 @@
 """Search, compensation, sub-block vector correction, both prediction modes."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,7 +91,8 @@ def _scalar_bilinear(plane, x, y, mv):
 
 @st.composite
 def _random_compensation(draw):
-    """A plane, a block touching any of its edges, a 4x4 sub-block vector grid."""
+    """A plane, a block touching any of its edges, a 4x4 sub-block vector
+    grid: any vectors, or whole-pel ones, which compensation copies."""
     w, h = draw(st.integers(4, 40)), draw(st.integers(4, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     plane = noise(rng, w, h)
@@ -98,9 +102,13 @@ def _random_compensation(draw):
     by = draw(st.sampled_from([0, h - bh, draw(st.integers(0, h - bh))]))
     # Small fractional vectors of either sign, or anywhere up to far outside.
     component = st.one_of(st.integers(-40, 40), st.integers(-MV_MAX, MV_MAX))
+    whole_pel = draw(st.booleans())
+    if whole_pel:
+        component = st.one_of(st.integers(-40, 40), st.integers(-MV_MAX // 16, MV_MAX // 16))
     n = (bh // 4) * (bw // 4)
     mvs = draw(st.lists(st.tuples(component, component), min_size=n, max_size=n))
-    return plane, bx, by, bw, bh, np.array(mvs, dtype=np.int64).reshape(bh // 4, bw // 4, 2)
+    mvs = np.array(mvs, dtype=np.int64).reshape(bh // 4, bw // 4, 2) * (16 if whole_pel else 1)
+    return plane, bx, by, bw, bh, mvs
 
 
 @given(_random_compensation())
@@ -125,6 +133,21 @@ def test_sample_block_matches_scalar_bilinear(case):
     assert sample_block(plane, bx, by, bw, bh, mv).tolist() == [
         [_scalar_bilinear(plane, bx + c, by + r, mv) for c in range(bw)]
         for r in range(bh)]
+
+
+@pytest.mark.parametrize("level", [0, 255])
+def test_sample_subblocks_every_fraction_on_extreme_planes(level):
+    """All 16 x 16 (fx, fy) pairs, one per 4x4 sub-block, on an all-0 and
+    an all-255 plane: at 255 the separable uint16 filter's vertical sum
+    reaches 65280, and the +128 of the rounding must not wrap."""
+    plane = np.full((72, 72), level, dtype=np.uint8)
+    fx, fy = np.meshgrid(np.arange(16), np.arange(16))
+    mvs = np.stack((fx - 32, fy + 16), axis=-1)   # whole-pel parts of either sign
+    got = sample_subblocks(plane, 2, 3, 64, 64, mvs)
+    want = [[_scalar_bilinear(plane, 2 + c, 3 + r, mvs[r // 4, c // 4].tolist())
+             for c in range(64)] for r in range(64)]
+    assert got.tolist() == want
+    assert (got == level).all()
 
 
 # -------------------------------------------------------------- full search
@@ -284,6 +307,68 @@ def test_search_tie_break_holds_across_chunk_boundaries(monkeypatch, chunk, kind
     want = _brute_force_vectors(luma_src, luma_ref, block_sizes, search_range)
     fields = search_fields(frame(luma_src, poc=1), frame(luma_ref), list(block_sizes),
                            search_range)
+    for block_size, field in zip(block_sizes, fields):
+        for (x, y), mv in want[block_size].items():
+            assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
+
+
+def _past_the_frame_case(kind):
+    """A 32x32 source and reference: low-entropy content, or a flat source
+    at the lowest or highest value of a reference that ramps along both
+    axes, which only the offsets moving a block wholly onto the ramp's
+    top left or bottom right pixel match."""
+    rng = np.random.default_rng(len(kind))
+    if kind in ("corner-low", "corner-high"):
+        ramp = np.add.outer(np.arange(32), np.arange(32)).astype(np.uint8)
+        return np.full_like(ramp, ramp.max() if kind == "corner-high" else 0), ramp
+    luma_src, luma_ref = (_low_entropy(k, rng, 32, 32) for k in kind.split("-"))
+    # A ramp in the reference makes its borders differ from each other.
+    return luma_src, luma_ref + np.arange(32, dtype=np.uint8) // 8
+
+
+@pytest.mark.parametrize("kind", ["levels-levels", "periodic-flat", "corner-low",
+                                  "corner-high"])
+def test_search_past_the_frame_matches_a_brute_force_search(kind):
+    """A range wider than the frame: offsets that move a rect wholly past
+    an edge read the same border as the offset that just reaches it and
+    lose the tie-break, so the search skips them. On a 32x32 clip the
+    vectors at range 40 equal ``_brute_force_vectors`` over every offset,
+    and range 2047, 16.8 M offsets unclamped, gives the same in seconds."""
+    luma_src, luma_ref = _past_the_frame_case(kind)
+    block_sizes = (4, 12, 16, 32)
+    want = _brute_force_vectors(luma_src, luma_ref, block_sizes, 40)
+    if kind == "corner-high":   # the top left block reaches the last offset in
+        assert want[4][(0, 0)] == MotionVector(16 * 31, 16 * 31)
+    if kind == "corner-low":
+        assert want[4][(28, 28)] == MotionVector(-16 * 31, -16 * 31)
+    src, ref = frame(luma_src, poc=1), frame(luma_ref)
+    for search_range in (40, 2047):
+        start = time.perf_counter()
+        fields = search_fields(src, ref, list(block_sizes), search_range)
+        assert time.perf_counter() - start < 20.0
+        for block_size, field in zip(block_sizes, fields):
+            for (x, y), mv in want[block_size].items():
+                assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
+    block = BlockSpec(12, 4, 8, 12)
+    assert full_search_me(src, ref, block, 2047) == full_search_me(src, ref, block, 40)
+
+
+def test_search_pools_tilings_without_a_common_multiple_grid():
+    """Sizes 4, 12, ..., 60 on a 64x64 frame pool 1 to 15 gcd tiles per
+    block side, whose least common multiple is 45045: each tiling pools
+    from a gcd grid padded to its own whole blocks, never to that
+    multiple, so the search stays small and exact."""
+    rng = np.random.default_rng(9)
+    luma_src, luma_ref = (_low_entropy("levels", rng, 64, 64) for _ in range(2))
+    block_sizes = list(range(4, 61, 8))
+    tracemalloc.start()
+    try:
+        fields = search_fields(frame(luma_src, poc=1), frame(luma_ref), block_sizes, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    want = _brute_force_vectors(luma_src, luma_ref, block_sizes, 2)
     for block_size, field in zip(block_sizes, fields):
         for (x, y), mv in want[block_size].items():
             assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
