@@ -12,11 +12,13 @@ Two modes share one integer-pel motion search:
 The frame is the unit of work: ``search_fields`` full-searches every
 block of one frame tiling per block size in one pass over the candidate
 offsets, one uint8 abs-difference plane per offset shared by every block
-size, every block's best updated once per chunk of 16 offsets, and
-``predict_frame`` predicts every block of a frame in one mode in one
-batch over its 4x4 cell grid. ``search_field`` is the one-size case of
-the search; ``full_search_me``, ``predict_uniform`` and ``predict_uamm``
-are the one-block cases of the same kernels.
+size, every block's best updated once per chunk of 16 offsets. A block
+at SAD 0 is final; each later chunk builds its planes, in batched
+gathers, only over the rect of the blocks still live, and the search
+ends when none is. ``predict_frame`` predicts every block of a frame in
+one mode in one batch over its 4x4 cell grid. ``search_field`` is the
+one-size case of the search; ``full_search_me``, ``predict_uniform`` and
+``predict_uamm`` are the one-block cases of the same kernels.
 
 Motion vectors use the fetch convention throughout: the prediction for a
 block at x is sampled at x + mv/16 in the reference frame.
@@ -109,6 +111,8 @@ def _check_block_in_frame(frame: FrameBuffer, block: BlockSpec) -> None:
 _UINT16_ROWS = 257
 # Candidate offsets whose SADs are pooled and compared at once.
 _CHUNK = 16
+# Bytes of candidate windows one batched abs-difference call gathers.
+_BATCH_BYTES = 128 * 1024
 
 
 def _tile_sums(plane: np.ndarray, th: int, tw: int,
@@ -139,15 +143,17 @@ def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """SAD of each bh x bw block tiling two equal uint8 planes, int64.
 
-    The |differences|, max - min, go into one uint8 plane, ``scratch`` if
-    given: zeros, as wide as the planes and as high as their tile rows, so
-    its rows past the planes stay zero. The block sums go into ``out`` if
-    given, a (tiles_y, tiles_x) int64 array.
+    ``pred`` may also be a stack of such planes along a leading axis, each
+    compared with ``src``. The |differences|, max - min, go into one uint8
+    plane per plane of ``pred``, ``scratch`` if given: zeros, as wide as
+    the planes and as high as their tile rows, so its rows past the planes
+    stay zero. The block sums go into ``out`` if given, a ([planes,]
+    tiles_y, tiles_x) int64 array.
     """
     h, w = src.shape
     if scratch is None:
-        scratch = np.zeros((-(-h // bh) * bh, w), dtype=np.uint8)
-    plane = np.maximum(pred, src, out=scratch[:h])
+        scratch = np.zeros((*pred.shape[:-2], -(-h // bh) * bh, w), dtype=np.uint8)
+    plane = np.maximum(pred, src, out=scratch[..., :h, :])
     np.subtract(plane, np.minimum(pred, src), out=plane)
     return _tile_sums(scratch, bh, bw, out)
 
@@ -185,6 +191,23 @@ def _pool(grid: np.ndarray, fy: int, fx: int, out: np.ndarray) -> None:
         out += part
 
 
+def _live_rect(live: np.ndarray, blocks: list[tuple[int, int]], bounds: list[int],
+               ratios: list[tuple[int, int]], ty: int, tx: int) -> tuple[int, int, int, int]:
+    """Bounding rect (r0, r1, c0, c1), in gcd tiles, of the blocks flagged
+    in ``live`` over every tiling: tiling (fy, fx)'s block (by, bx) covers
+    tile rows by * fy until (by + 1) * fy and columns likewise, clipped at
+    ty x tx. At least one block must be live."""
+    r0, r1, c0, c1 = ty, 0, tx, 0
+    for (ny, nx), lo, hi, (fy, fx) in zip(blocks, bounds, bounds[1:], ratios):
+        mask = live[lo:hi].reshape(ny, nx)
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size:
+            cols = np.flatnonzero(mask.any(axis=0))
+            r0, r1 = min(r0, int(rows[0]) * fy), max(r1, min(int(rows[-1] + 1) * fy, ty))
+            c0, c1 = min(c0, int(cols[0]) * fx), max(c1, min(int(cols[-1] + 1) * fx, tx))
+    return r0, r1, c0, c1
+
+
 def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
                    tiles: list[tuple[int, int]], search_range: int) -> list[np.ndarray]:
     """Full search of every tiling of the w x h rect at (x, y), one per
@@ -196,16 +219,28 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     replicated border as the offset that just reaches it, so it ties with
     that nearer offset and loses the tie-break: the search visits only
     the offsets within the range and within those bounds. Each offset's
-    uint8 abs-difference plane is built once and summed over the tiles of
-    the gcd of the tile sizes, whose edges every tiling shares. The
-    offsets go in ``_search_order`` in chunks of ``_CHUNK``: the chunk's
-    gcd-tile SADs pool exactly, in int64, to each tiling's block SADs by
-    strided adds, and each block takes its chunk's first minimum, the
-    earliest offset, which replaces its running best only if strictly
-    smaller, so each result is the unique tie-break winner. Returns one
-    (rows, cols, 2) int64 array of vectors in 1/16-pel units per entry of
-    ``tiles``. Neither frame is written. The range must keep every
-    vector within ``MV_MAX``.
+    uint8 abs-difference plane is summed over the tiles of the gcd of the
+    tile sizes, whose edges every tiling shares. The offsets go in
+    ``_search_order`` in chunks of ``_CHUNK``: the chunk's gcd-tile SADs
+    pool exactly, in int64, to each tiling's block SADs by strided adds,
+    and each block takes its chunk's first minimum, the earliest offset,
+    which replaces its running best only if strictly smaller, so each
+    result is the unique tie-break winner.
+
+    A block whose best SAD is 0 is final: no later offset is strictly
+    smaller. Each chunk after the first builds its planes only over the
+    live rect, the bounding rect in gcd tiles of the blocks not yet final
+    in any tiling, and the search ends once none is left. Grid tiles
+    outside that rect keep stale sums, which only final blocks read. A
+    chunk's candidate windows are gathered from a sliding window view of
+    the padded reference in batches of at most ``_BATCH_BYTES``, each
+    built by one max, min and subtract into an abs-difference stack and
+    summed by one exact row sum; a window larger than that runs alone as
+    a view, with no copy.
+
+    Returns one (rows, cols, 2) int64 array of vectors in 1/16-pel units
+    per entry of ``tiles``. Neither frame is written. The range must keep
+    every vector within ``MV_MAX``.
     """
     if search_range < 0:
         raise ValueError(f"search range must be non-negative, got {search_range}")
@@ -233,7 +268,6 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     blocks = [(-(-ty // fy), -(-tx // fx)) for fy, fx in ratios]
     grid = np.zeros((_CHUNK, max(ny * fy for (fy, _), (ny, _) in zip(ratios, blocks)),
                      max(nx * fx for (_, fx), (_, nx) in zip(ratios, blocks))), dtype=np.int64)
-    scratch = np.zeros((ty * gh, w), dtype=np.uint8)
     # Every tiling's block SADs sit in its own columns of one (_CHUNK,
     # blocks) stack; the running bests are flat vectors over those columns.
     bounds = np.cumsum([0] + [ny * nx for ny, nx in blocks]).tolist()
@@ -243,14 +277,35 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     best = np.full(bounds[-1], np.iinfo(np.int64).max)
     best_at = np.zeros(bounds[-1], dtype=np.int64)
     order_dy, order_dx = _search_order(dy_lo, dy_hi, dx_lo, dx_hi)
-    offsets = list(zip((order_dy - dy_lo).tolist(), (order_dx - dx_lo).tolist()))
     every = np.arange(bounds[-1])
-    for first in range(0, len(offsets), _CHUNK):
-        chunk = offsets[first:first + _CHUNK]
-        n = len(chunk)
-        for k, (oy, ox) in enumerate(chunk):
-            _block_sads(target, padded[oy:oy + h, ox:ox + w], gh, gw, scratch,
-                        grid[k, :ty, :tx])
+    # One buffer holds each batch's abs-difference stack: a whole padded
+    # plane, or as many smaller ones as fit in _BATCH_BYTES.
+    stack = np.empty(max(_BATCH_BYTES, ty * gh * w), dtype=np.uint8)
+    rect, planes_for = (0, ty, 0, tx), None     # the live rect, in gcd tiles
+    live_count = bounds[-1]                     # blocks whose best SAD is not 0
+    for first in range(0, order_dy.size, _CHUNK):
+        if planes_for != rect:
+            planes_for = r0, r1, c0, c1 = rect
+            y0, y1, x0, x1 = r0 * gh, min(r1 * gh, h), c0 * gw, min(c1 * gw, w)
+            part = target[y0:y1, x0:x1]
+            plane_rows = (r1 - r0) * gh     # whole tiles: zero rows past y1
+            size = plane_rows * (x1 - x0)
+            batch = max(1, min(_CHUNK, _BATCH_BYTES // size))
+            diff = stack[:batch * size].reshape(batch, plane_rows, x1 - x0)
+            diff[:, y1 - y0:] = 0
+            # windows[oy, ox]: the live rect's window at box offset (oy, ox).
+            windows = np.lib.stride_tricks.sliding_window_view(padded[y0:, x0:], part.shape)
+        oy = order_dy[first:first + _CHUNK] - dy_lo
+        ox = order_dx[first:first + _CHUNK] - dx_lo
+        n = oy.size
+        for k in range(0, n, batch):
+            m = min(batch, n - k)
+            if m == 1:      # in place: a view of the padded reference
+                cand, planes, sums = windows[oy[k], ox[k]], diff[0], grid[k, r0:r1, c0:c1]
+            else:           # one gather of m windows
+                cand, planes, sums = (windows[oy[k:k + m], ox[k:k + m]], diff[:m],
+                                      grid[k:k + m, r0:r1, c0:c1])
+            _block_sads(part, cand, gh, gw, planes, sums)
         for (fy, fx), view in zip(ratios, views):
             _pool(grid[:n], fy, fx, view[:n])
         at = np.argmin(sads[:n], axis=0)    # the first minimum: earliest offset
@@ -258,6 +313,12 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
         better = sad < best
         best[better] = sad[better]
         best_at[better] = at[better] + first
+        live = best != 0
+        if np.count_nonzero(live) < live_count:     # some blocks became final
+            live_count = np.count_nonzero(live)
+            rect = _live_rect(live, blocks, bounds, ratios, ty, tx)
+            if not live_count:
+                break
     mvs = np.stack((order_dx[best_at], order_dy[best_at]), axis=-1) * MV_UNITS_PER_PEL
     return [mvs[lo:hi].reshape(ny, nx, 2)
             for (ny, nx), lo, hi in zip(blocks, bounds, bounds[1:])]

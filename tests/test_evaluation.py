@@ -370,21 +370,34 @@ def test_interleaved_rate_points_match_one_run_per_point(tmp_path):
     assert rows == lone_rows
 
 
-def test_rate_points_at_one_range_share_each_abs_difference_plane(monkeypatch):
-    """Four block sizes at range 2 search each frame pair with 25 planes,
-    one per candidate offset; prediction adds one plane per rate point and
-    mode."""
-    calls, block_sads = [], predictor._block_sads
+def test_rate_points_at_one_range_share_one_search_pass(monkeypatch):
+    """Four block sizes at range 2 search each frame pair in one shared
+    ``_search_blocks`` pass, with every size's tiling; prediction adds one
+    abs-difference plane per rate point and mode."""
+    searches, searching, planes = [], [], []
+    search_blocks, block_sads = predictor._search_blocks, predictor._block_sads
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_search(*args, **kwargs):
+        searches.append((args[6], args[7]))
+        searching.append(True)
+        try:
+            return search_blocks(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def counting_planes(*args, **kwargs):
+        if not searching:
+            planes.append(1)
         return block_sads(*args, **kwargs)
 
-    monkeypatch.setattr(predictor, "_block_sads", counting)
+    monkeypatch.setattr(predictor, "_search_blocks", counting_search)
+    monkeypatch.setattr(predictor, "_block_sads", counting_planes)
     frames = accel_source(frames=4).load()
     points = tuple(RatePoint(f"b{bs}", bs, 2) for bs in (8, 12, 16, 32))
     evaluation._run_rate_points(frames, points, ("uniform",), 32)
-    assert len(calls) == (len(frames) - 1) * (25 + len(points))
+    tiles = [(bs, bs) for bs in (8, 12, 16, 32)]
+    assert searches == [(tiles, 2)] * (len(frames) - 1)
+    assert len(planes) == (len(frames) - 1) * len(points)
 
 
 # ------------------------------------------------ frame pass vs block loop

@@ -312,6 +312,91 @@ def test_search_tie_break_holds_across_chunk_boundaries(monkeypatch, chunk, kind
             assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
 
 
+def _final_blocks_case(case):
+    """An 80x72 pair over one static background, on which the blocks that
+    hold none of the changes below reach SAD 0 at offset (0, 0), in the
+    first chunk.
+
+    * ``static``: identical low-entropy frames.
+    * ``inner``, ``corner``: a 0-255 noise patch on a low-entropy
+      background moves by a whole-pel shift, so the blocks inside it reach
+      SAD 0 only at that shift, mid-search; one patch sits inside the
+      frame, one ends at its right and bottom edges.
+    * ``dot``: one pixel a level above a flat background moves by (-3, 0)
+      across x = 48, an edge of sizes 16 and 48: their blocks that hold
+      it on one side only sit at SAD 1 until the 20th offset reaches 0,
+      while independent noise in the bottom right corner keeps blocks
+      live elsewhere.
+    """
+    rng = np.random.default_rng(len(case))
+    if case == "dot":
+        ref = np.ones((72, 80), dtype=np.uint8)
+        src = ref.copy()
+        ref[10, 49] = src[10, 46] = 2
+        ref[56:, 72:], src[56:, 72:] = (noise(rng, 8, 16) for _ in range(2))
+        return src, ref
+    ref = _low_entropy("levels", rng, 80, 72)
+    src = ref.copy()
+    if case != "static":
+        (px, py, pw, ph), (sx, sy) = {"inner": ((20, 12, 32, 28), (5, -3)),
+                                      "corner": ((40, 40, 36, 32), (4, 0))}[case]
+        patch = rng.integers(3, 256, (ph, pw), dtype=np.uint8)
+        ref[py:py + ph, px:px + pw] = patch
+        src[py + sy:py + sy + ph, px + sx:px + sx + pw] = patch
+    return src, ref
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@pytest.mark.parametrize("block_sizes", [(4, 12, 16, 20, 28, 64), (16, 48), (28,)],
+                         ids=["gcd4", "gcd16", "gcd28"])
+@pytest.mark.parametrize("case", ["static", "inner", "corner", "dot"])
+def test_search_with_final_blocks_matches_a_brute_force_search(monkeypatch, chunk,
+                                                               block_sizes, case):
+    """Blocks whose best SAD reaches 0 are final and the later chunks
+    search only the live blocks' rect: ``search_fields`` against
+    ``_brute_force_vectors`` at range 8, with the offsets compared one at
+    a time, in chunks of 7 and in chunks of 16. Sizes 16/48 and 28 leave
+    zero pad rows below the frame's last tile row, 28 clips the last
+    column too; around the inner patch and the dot, later planes are
+    smaller than the frame, and the dot's blocks at SAD 1 must stay live
+    inside them."""
+    monkeypatch.setattr(predictor, "_CHUNK", chunk)
+    areas, tile_sums = [], predictor._tile_sums
+
+    def recording(plane, *args, **kwargs):
+        areas.append(plane.shape[-2] * plane.shape[-1])
+        return tile_sums(plane, *args, **kwargs)
+
+    monkeypatch.setattr(predictor, "_tile_sums", recording)
+    luma_src, luma_ref = _final_blocks_case(case)
+    want = _brute_force_vectors(luma_src, luma_ref, block_sizes, 8)
+    fields = search_fields(frame(luma_src, poc=1), frame(luma_ref), list(block_sizes), 8)
+    for block_size, field in zip(block_sizes, fields):
+        for (x, y), mv in want[block_size].items():
+            assert tuple(field.mv[y // 4, x // 4]) == (mv.x, mv.y)
+    if case == "static":
+        assert not any(f.mv.any() for f in fields)
+    if case in ("inner", "dot"):    # the live rect shrinks
+        assert min(areas) < max(areas)
+
+
+def test_search_of_identical_frames_ends_after_one_chunk(monkeypatch):
+    """Identical frames put every block at SAD 0 at offset (0, 0), which
+    no later offset can beat: at range 24, 2401 offsets, the search
+    builds the planes of one chunk and stops."""
+    windows, tile_sums = [], predictor._tile_sums
+
+    def counting(plane, *args, **kwargs):
+        windows.append(1 if plane.ndim == 2 else plane.shape[0])
+        return tile_sums(plane, *args, **kwargs)
+
+    monkeypatch.setattr(predictor, "_tile_sums", counting)
+    luma = noise(np.random.default_rng(4), 96, 64)
+    fields = search_fields(frame(luma, poc=1), frame(luma), [16, 32], 24)
+    assert sum(windows) <= predictor._CHUNK
+    assert not any(f.mv.any() for f in fields)
+
+
 def _past_the_frame_case(kind):
     """A 32x32 source and reference: low-entropy content, or a flat source
     at the lowest or highest value of a reference that ramps along both
