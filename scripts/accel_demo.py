@@ -20,7 +20,7 @@ from uamm import (
     derive_field_params,
     field_from_global_mv,
     predict_frame,
-    search_field,
+    search_fields,
     synth_sequence,
 )
 
@@ -60,7 +60,7 @@ def main():
         f_prev1 = field_from_global_mv(
             k - 1, SIZE, SIZE, MotionVector(-gt[k - 2].x, -gt[k - 2].y), tick)
         ref_field = derive_field_params(f_prev1, f_prev2)
-        field = search_field(frames[k], frames[k - 1], BLOCK, SEARCH)
+        field = search_fields(frames[k], frames[k - 1], [BLOCK], SEARCH)[0]
         base = predict_frame(frames[k], frames[k - 1], field, BLOCK)
         refined = predict_frame(frames[k], frames[k - 1], field, BLOCK, ref_field)
         rect = footprint(k)

@@ -23,7 +23,6 @@ from .kinematics import (
 )
 from .motion_field import (
     CELL_SIZE,
-    FieldCell,
     MotionField,
     derive_field_params,
     dump_field_csv,
@@ -36,13 +35,10 @@ from .predictor import (
     PredictionMode,
     PredictionResult,
     correct_mvs,
-    estimate_field,
     full_search_me,
-    motion_compensate,
     predict_frame,
     predict_uamm,
     predict_uniform,
-    search_field,
     search_fields,
 )
 from .sequences import (

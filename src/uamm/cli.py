@@ -18,7 +18,7 @@ from typing import Optional
 from .config import ConfigError, load_config
 from .evaluation import RdPoint, bd_rate, run_experiment
 from .motion_field import MotionField, derive_field_params, dump_field_csv
-from .predictor import search_field
+from .predictor import search_fields
 from .sequences import synth_sequence, write_yuv
 
 
@@ -77,8 +77,8 @@ def cmd_demo_field(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
-        field = derive_field_params(
-            search_field(frames[k], frames[k - 1], cfg.block_size, cfg.search_range), field)
+        searched = search_fields(frames[k], frames[k - 1], [cfg.block_size], cfg.search_range)
+        field = derive_field_params(searched[0], field)
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
         with open(path, "w") as fh:
             dump_field_csv(field, fh)

@@ -25,10 +25,11 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .kinematics import MV_MAX, MV_UNITS_PER_PEL
 from .motion_field import CELL_SIZE, MotionField, derive_field_params
 from .predictor import (
     DEFAULT_DELTA_MAX,
+    BlockSpec,
+    _check_search_range,
     predict_frame,
     search_fields,
 )
@@ -156,13 +157,8 @@ class SequenceSource:
 
 
 def _check_block(block_size: int, search_range: int) -> None:
-    if block_size < 4 or block_size % 4:
-        raise ValueError(f"block size must be a multiple of 4, got {block_size}")
-    if search_range < 0:
-        raise ValueError(f"search range must be non-negative, got {search_range}")
-    if search_range * MV_UNITS_PER_PEL > MV_MAX:
-        raise ValueError(f"search range must be at most {MV_MAX // MV_UNITS_PER_PEL} pel, "
-                         f"got {search_range}")
+    BlockSpec(0, 0, block_size, block_size)
+    _check_search_range(search_range)
 
 
 @dataclass(frozen=True)
@@ -202,6 +198,8 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}, valid modes: {', '.join(MODES)}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"duplicate modes: {list(self.modes)}")
         if not self.rate_points:
             raise ValueError("at least one rate point is required")
         if self.delta_max < 0:
@@ -312,7 +310,8 @@ def _run_rate_points(
 def _run_rate_point(
     frames: list[FrameBuffer], rp: RatePoint, modes: tuple[str, ...], delta_max: int
 ) -> dict[str, _ModeTally]:
-    """``_run_rate_points`` at one operating point."""
+    """``_run_rate_points`` at one operating point: a tracer hook until the
+    tracer wraps the frame kernels."""
     return _run_rate_points(frames, (rp,), modes, delta_max)[0]
 
 

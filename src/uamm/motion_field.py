@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import IO, TYPE_CHECKING, Optional
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,15 +39,6 @@ CELL_SIZE = 4
 _CSV_COLUMNS = ("poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay")
 # The CSV name of each ParamKind, indexed by its value.
 _KIND_NAMES = [ParamKind(v).name.capitalize() for v in range(len(ParamKind))]
-
-
-@dataclass(frozen=True)
-class FieldCell:
-    """One cell's view of a motion field: vector, distance, parameters."""
-
-    mv: Optional[MotionVector]
-    ref_distance: Optional[TimeInterval]
-    params: UammParams
 
 
 @dataclass
@@ -96,28 +87,6 @@ class MotionField:
         cx0, cx1 = x // CELL_SIZE, (x + width - 1) // CELL_SIZE + 1
         self.mv[cy0:cy1, cx0:cx1] = (mv.x, mv.y)
         self.ref_distance[cy0:cy1, cx0:cx1] = ref_distance.ticks
-
-    def cell_at(self, px: int, py: int) -> FieldCell:
-        """The cell covering pixel (px, py). Out-of-frame raises IndexError."""
-        if not (0 <= px < self.width and 0 <= py < self.height):
-            raise IndexError(
-                f"pixel ({px}, {py}) outside frame {self.width}x{self.height}"
-            )
-        cx, cy = px // CELL_SIZE, py // CELL_SIZE
-        return self._cell(cx, cy)
-
-    def _cell(self, cx: int, cy: int) -> FieldCell:
-        valid = bool(self.ref_distance[cy, cx] > 0)
-        mv = MotionVector(*self.mv[cy, cx]) if valid else None
-        dist = TimeInterval(int(self.ref_distance[cy, cx])) if valid else None
-        params = UammParams(
-            int(self.v0[cy, cx, 0]),
-            int(self.v0[cy, cx, 1]),
-            int(self.acc[cy, cx, 0]),
-            int(self.acc[cy, cx, 1]),
-            ParamKind(int(self.kind[cy, cx])),
-        )
-        return FieldCell(mv=mv, ref_distance=dist, params=params)
 
 
 def field_from_global_mv(
@@ -197,7 +166,8 @@ def gather_params(
 def inherit_params(
     ref_field: MotionField, block: "BlockSpec", mv: MotionVector
 ) -> list[list[UammParams]]:
-    """``gather_params`` as one ``UammParams`` per sub-block, [row][col]."""
+    """``gather_params`` as one ``UammParams`` per sub-block, [row][col]:
+    a test oracle and tracer hook until the tracer wraps the frame kernels."""
     v0, acc, kind = gather_params(ref_field, block.x, block.y, block.w, block.h,
                                   mv.x, mv.y)
     return [

@@ -16,9 +16,10 @@ size, every block's best updated once per chunk of 16 offsets. A block
 at SAD 0 is final; each later chunk builds its planes, in batched
 gathers, only over the rect of the blocks still live, and the search
 ends when none is. ``predict_frame`` predicts every block of a frame in
-one mode in one batch over its 4x4 cell grid. ``search_field`` is the
-one-size case of the search; ``full_search_me``, ``predict_uniform`` and
-``predict_uamm`` are the one-block cases of the same kernels.
+one mode in one batch over its 4x4 cell grid. Their one-block cases,
+``full_search_me``, ``predict_uniform``, ``predict_uamm`` and ``correct_mvs``,
+stay only as test oracles and as hooks ``perfbench/traced_cli.py`` patches,
+until the tracer wraps the frame kernels (ROADMAP.md).
 
 Motion vectors use the fetch convention throughout: the prediction for a
 block at x is sampled at x + mv/16 in the reference frame.
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .interp import sample_block, sample_subblocks
+from .interp import sample_subblocks
 from .kinematics import (
     MV_MAX,
     MV_UNITS_PER_PEL,
@@ -43,7 +44,8 @@ from .kinematics import (
     _extrapolate_scaled,
 )
 from .motion_field import CELL_SIZE, MotionField, gather_params
-# Unused here; kept because perfbench/traced_cli.py wraps predictor.inherit_params.
+# Unused here: perfbench/traced_cli.py patches both names on this module.
+from .interp import sample_block  # noqa: F401
 from .motion_field import inherit_params  # noqa: F401
 from .sequences import FrameBuffer
 
@@ -88,7 +90,7 @@ class FramePrediction:
     """Everything one mode's pass over a frame tiling produced.
 
     Per-block arrays are indexed [row, col] over the tiling, which runs
-    row by row like ``estimate_field``'s block list.
+    row by row like the block vectors of ``search_fields``' fields.
     """
 
     pred: np.ndarray          # (height, width) uint8
@@ -104,6 +106,15 @@ def _check_block_in_frame(frame: FrameBuffer, block: BlockSpec) -> None:
             f"block {block.w}x{block.h} at ({block.x}, {block.y}) leaves "
             f"the {frame.width}x{frame.height} frame"
         )
+
+
+def _check_search_range(search_range: int) -> None:
+    """Reject a search range that is negative or reaches past ``MV_MAX``."""
+    if search_range < 0:
+        raise ValueError(f"search range must be non-negative, got {search_range}")
+    if search_range * MV_UNITS_PER_PEL > MV_MAX:
+        raise ValueError(f"search range must be at most {MV_MAX // MV_UNITS_PER_PEL} pel, "
+                         f"got {search_range}")
 
 
 # A tile's rows of a uint8 plane sum exactly in uint16 while the tile is
@@ -242,11 +253,7 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     per entry of ``tiles``. Neither frame is written. The range must keep
     every vector within ``MV_MAX``.
     """
-    if search_range < 0:
-        raise ValueError(f"search range must be non-negative, got {search_range}")
-    if search_range * MV_UNITS_PER_PEL > MV_MAX:
-        raise ValueError(f"search range must be at most {MV_MAX // MV_UNITS_PER_PEL} pel, "
-                         f"got {search_range}")
+    _check_search_range(search_range)
     rect = BlockSpec(x, y, w, h)
     _check_block_in_frame(src, rect)
     _check_block_in_frame(ref, rect)
@@ -332,8 +339,8 @@ def full_search_me(
     Candidates reaching outside the reference replicate border pixels,
     matching the compensation path. Ties resolve to the smallest
     |mvx|+|mvy|, then smallest mvy, then smallest mvx, so the result is
-    unique. The returned vector is in 1/16-pel units. This is the
-    one-block case of ``search_fields``' kernel.
+    unique. The returned vector is in 1/16-pel units. The one-block case
+    of ``search_fields``' kernel: a test oracle and tracer hook only.
     """
     [mv] = _search_blocks(src, ref, block.x, block.y, block.w, block.h,
                           [(block.h, block.w)], search_range)
@@ -370,36 +377,6 @@ def search_fields(
     return fields
 
 
-def search_field(
-    src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
-) -> MotionField:
-    """``search_fields`` at one block size."""
-    return search_fields(src, ref, [block_size], search_range)[0]
-
-
-def estimate_field(
-    src: FrameBuffer, ref: FrameBuffer, block_size: int, search_range: int
-) -> tuple[MotionField, list[tuple[BlockSpec, MotionVector]]]:
-    """``search_field``'s field plus the (block, vector) pairs of its
-    tiling, row by row, edge blocks clipped."""
-    field = search_field(src, ref, block_size, search_range)
-    searched = []
-    for y in range(0, src.height, block_size):
-        for x in range(0, src.width, block_size):
-            block = BlockSpec(x, y, min(block_size, src.width - x),
-                              min(block_size, src.height - y))
-            mv = field.mv[y // CELL_SIZE, x // CELL_SIZE].tolist()
-            searched.append((block, MotionVector(*mv)))
-    return field, searched
-
-
-def motion_compensate(
-    ref: FrameBuffer, block: BlockSpec, mv: MotionVector
-) -> np.ndarray:
-    """Bilinear block fetch from the reference at block position + mv/16."""
-    return sample_block(ref.luma, block.x, block.y, block.w, block.h, (mv.x, mv.y))
-
-
 def _correct(raw: np.ndarray, init: np.ndarray, delta_max: int, th: int, tw: int):
     """The band rule over th x tw tiles of sub-block vector grids.
 
@@ -430,7 +407,7 @@ def correct_mvs(
     initial + delta_max]. If more than half of a grid's sub-blocks needed
     clamping the whole grid resets to the initial vector; the returned
     count is the number of clamped sub-blocks before any reset (an array
-    for batched input). The operation is idempotent.
+    for batched input); idempotent. A test oracle and tracer hook only.
     """
     if subblock_mvs.ndim < 3 or subblock_mvs.shape[-1] != 2:
         raise ValueError(f"expected shape (..., rows, cols, 2), got {subblock_mvs.shape}")
@@ -499,7 +476,7 @@ def predict_frame(
 ) -> FramePrediction:
     """Predict every block of ``src``'s tiling in one batch.
 
-    ``field`` is ``search_field``'s result for this ``src``/``ref`` pair
+    ``field`` is ``search_fields``' result for this ``src``/``ref`` pair
     and ``block_size``: each cell holds its block's vector. Without a
     ``ref_field`` this is ``predict_uniform`` block by block; with one it
     is ``predict_uamm``, with one parameter gather and one extrapolation
@@ -542,7 +519,7 @@ def predict_uniform(
     search_range: int,
     initial_mv: Optional[MotionVector] = None,
 ) -> PredictionResult:
-    """Single-vector baseline: search, compensate, report."""
+    """Single-vector baseline: search, compensate, report (test oracle, tracer hook)."""
     return _predict_block(src, ref, block, search_range, initial_mv)
 
 
@@ -565,7 +542,8 @@ def predict_uamm(
     current frame. Sub-blocks whose inherited parameters are unavailable
     fall back to the block vector; if every sub-block fell back the result
     is the uniform baseline, mode included, so a field with no usable
-    parameters degrades to the baseline exactly.
+    parameters degrades to the baseline exactly. A test oracle and tracer
+    hook only.
     """
     return _predict_block(src, ref, block, search_range, initial_mv, ref_field,
                           t0, t1, t2, delta_max)

@@ -276,6 +276,9 @@ FAST = MINIMAL.replace("start_y = 16", "start_y = 16\nv0x = 64")
     pytest.param(MINIMAL, ["--search-range", "2048"], id="search_range_too_wide-flag"),
     pytest.param(MINIMAL + "\n[rate_points]\nlabels = a, a\nblock_sizes = 8, 16\n",
                  [], id="duplicate_labels-file"),
+    pytest.param(MINIMAL + "\n[predict]\nmodes = uniform, uniform\n", [],
+                 id="duplicate_modes-file"),
+    pytest.param(MINIMAL, ["--modes", "uniform,uniform"], id="duplicate_modes-flag"),
     pytest.param(MINIMAL + "\n[rate_points]\nlabels =\nblock_sizes =\n", [],
                  id="no_rate_points-file"),
     pytest.param(MINIMAL + "\n[predict]\ndelta_max = -5\n", [], id="delta_max-file"),

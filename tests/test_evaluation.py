@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from uamm import (
     MV_MAX,
     BdRateError,
+    BlockSpec,
     ExperimentConfig,
     FrameBuffer,
     MotionField,
@@ -21,11 +22,11 @@ from uamm import (
     TrajectorySpec,
     bd_rate,
     derive_field_params,
-    estimate_field,
     predict_uamm,
     predict_uniform,
     psnr,
     run_experiment,
+    search_fields,
     synth_sequence,
     write_yuv,
 )
@@ -416,7 +417,12 @@ def _per_block_rate_point(frames, rp, modes, delta_max):
         if "uamm" in modes and k >= 2:
             ref_field = derive_field_params(newer, older)
 
-        field_k, searched = estimate_field(src, ref, rp.block_size, rp.search_range)
+        bs = rp.block_size
+        [field_k] = search_fields(src, ref, [bs], rp.search_range)
+        # The tiling row by row, edge blocks clipped, each with its searched vector.
+        searched = [(BlockSpec(x, y, min(bs, width - x), min(bs, height - y)),
+                     MotionVector(*field_k.mv[y // CELL_SIZE, x // CELL_SIZE].tolist()))
+                    for y in range(0, height, bs) for x in range(0, width, bs)]
         pred_frames = {m: np.empty((height, width), dtype=np.uint8) for m in modes}
         prev_mv = {m: MotionVector(0, 0) for m in modes}
         for block, initial in searched:

@@ -37,50 +37,29 @@ def global_field(poc, w, h, mvx, mvy, ticks=1):
                                 TimeInterval(ticks))
 
 
-# ----------------------------------------------------------------- lookup
-
-def test_cell_at_origin_and_division():
-    f = MotionField.empty(0, 8, 8)
-    f.set_block_mv(0, 0, 4, 4, MotionVector(1, 2), TICK)
-    assert f.cell_at(0, 0).mv == MotionVector(1, 2)
-    assert f.cell_at(3, 3).mv == MotionVector(1, 2)
-    # (7, 4) lives in cell (1, 1), which is still empty
-    assert f.cell_at(7, 4).mv is None
+def params_at(f, cy, cx):
+    """The parameters of cell (cy, cx), read from the planes."""
+    return UammParams(*f.v0[cy, cx].tolist(), *f.acc[cy, cx].tolist(),
+                      ParamKind(int(f.kind[cy, cx])))
 
 
-def test_cell_at_last_pixel_is_last_cell():
-    f = MotionField.empty(0, 16, 12)
-    f.set_block_mv(12, 8, 4, 4, MotionVector(5, 5), TICK)
-    cell = f.cell_at(15, 11)
-    assert cell.mv == MotionVector(5, 5)
-    assert cell.ref_distance == TICK
-
-
-@pytest.mark.parametrize("px,py", [(-1, 0), (0, -1), (16, 0), (0, 12), (99, 99)])
-def test_cell_at_out_of_bounds_raises(px, py):
-    f = MotionField.empty(0, 16, 12)
-    with pytest.raises(IndexError):
-        f.cell_at(px, py)
-
+# ----------------------------------------------------------------- storage
 
 def test_empty_field_is_all_unavailable():
     f = MotionField.empty(3, 12, 8)
-    for py in range(0, 8, 4):
-        for px in range(0, 12, 4):
-            cell = f.cell_at(px, py)
-            assert cell.mv is None
-            assert cell.ref_distance is None
-            assert cell.params.kind == ParamKind.UNAVAILABLE
+    assert f.mv.shape == (2, 3, 2)
+    assert (f.ref_distance == 0).all()
+    assert all(params_at(f, cy, cx) == UammParams.unavailable()
+               for cy in range(2) for cx in range(3))
 
 
 def test_set_block_mv_covers_exactly_the_rect():
     f = MotionField.empty(0, 16, 16)
     f.set_block_mv(4, 4, 8, 8, MotionVector(7, -7), TICK)
     assert (f.ref_distance > 0).sum() == 4
-    assert f.cell_at(4, 4).mv == MotionVector(7, -7)
-    assert f.cell_at(11, 11).mv == MotionVector(7, -7)
-    assert f.cell_at(0, 0).mv is None
-    assert f.cell_at(12, 4).mv is None
+    assert (f.ref_distance[1:3, 1:3] == 1).all()
+    assert (f.mv[1:3, 1:3] == (7, -7)).all()
+    assert f.ref_distance[0, 0] == 0 and f.ref_distance[1, 3] == 0
 
 
 # -------------------------------------------------------------- derivation
@@ -89,10 +68,7 @@ def test_derive_chained_pair():
     prev = global_field(1, 16, 16, 2, 0)
     curr = global_field(2, 16, 16, 4, 0)
     out = derive_field_params(curr, prev)
-    cell = out.cell_at(0, 0)
-    assert cell.params.kind == ParamKind.ACCELERATED
-    assert (cell.params.v0x, cell.params.ax) == (P, 2 * P)
-    assert (cell.params.v0y, cell.params.ay) == (0, 0)
+    assert params_at(out, 0, 0) == UammParams(P, 0, 2 * P, 0, ParamKind.ACCELERATED)
     # every cell of a global pair derives identically
     assert np.all(out.kind == int(ParamKind.ACCELERATED))
 
@@ -101,8 +77,7 @@ def test_derive_broken_chain_falls_back_to_linear():
     prev = MotionField.empty(1, 16, 16)
     curr = global_field(2, 16, 16, 4, 0)
     out = derive_field_params(curr, prev)
-    cell = out.cell_at(0, 0)
-    assert cell.params == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
+    assert params_at(out, 0, 0) == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
 
 
 def test_derive_static_broken_chain_is_constant():
@@ -117,8 +92,8 @@ def test_derive_no_vector_stays_unavailable():
     curr = MotionField.empty(2, 16, 16)
     curr.set_block_mv(0, 0, 4, 4, MotionVector(4, 0), TICK)
     out = derive_field_params(curr, prev)
-    assert out.cell_at(0, 0).params.kind == ParamKind.ACCELERATED
-    assert out.cell_at(8, 8).params.kind == ParamKind.UNAVAILABLE
+    assert out.kind[0, 0] == ParamKind.ACCELERATED
+    assert out.kind[2, 2] == ParamKind.UNAVAILABLE
 
 
 def test_derive_requires_increasing_poc():
@@ -133,7 +108,7 @@ def test_derive_uses_poc_difference_as_interval():
     prev = MotionField.empty(1, 8, 8)
     curr = global_field(3, 8, 8, 8, 0)
     out = derive_field_params(curr, prev)
-    assert out.cell_at(0, 0).params == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
+    assert params_at(out, 0, 0) == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
 
 
 def test_derive_follows_the_stored_vector():
@@ -145,7 +120,7 @@ def test_derive_follows_the_stored_vector():
     curr.set_block_mv(0, 0, 4, 4, MotionVector(64, 0), TICK)
     out = derive_field_params(curr, prev)
     # center (2,2) + 64/16 px lands at (6,2): cell (0,1) of prev
-    p = out.cell_at(0, 0).params
+    p = params_at(out, 0, 0)
     assert p.kind == ParamKind.ACCELERATED
     assert (p.v0x, p.ax) == (16 * P, 32 * P)
 
@@ -157,7 +132,7 @@ def test_derive_clamps_displaced_position_to_border():
     curr.set_block_mv(12, 0, 4, 4, MotionVector(4096, 0), TICK)  # 256 px right
     out = derive_field_params(curr, prev)
     # clamped to pixel 15 -> last-column cell, which has a vector
-    assert out.cell_at(12, 0).params.kind == ParamKind.ACCELERATED
+    assert out.kind[0, 3] == ParamKind.ACCELERATED
 
 
 def test_derive_never_accelerated_with_zero_acceleration():
@@ -198,7 +173,7 @@ def test_derive_recovers_global_trajectory_and_extrapolates_the_chain():
         prev = global_field(j - 1, 32, 32, fetch(j - 1), 0)
         curr = global_field(j, 32, 32, fetch(j), 0)
         out = derive_field_params(curr, prev)
-        p = out.cell_at(16, 16).params
+        p = params_at(out, 4, 4)
         assert p.ax == -a * P
         assert p.v0x == -(v0 + a * (j - 2)) * P
         assert np.all(out.kind == int(ParamKind.ACCELERATED))
@@ -241,9 +216,10 @@ def _random_field_pair(draw):
 
 @given(_random_field_pair())
 def test_derive_field_matches_the_per_cell_solve(pair):
-    """The whole-grid derivation against a per-cell reference: ``cell_at``
-    of ``prev`` at the displaced, clamped cell center, then the scalar
-    solver or the linear fallback, then ``UammParams.classify``."""
+    """The whole-grid derivation against a per-cell reference: the cell of
+    ``prev`` under the displaced, clamped cell center, then the scalar
+    solver on its vector and distance or, if it has none, the linear
+    fallback, then ``UammParams.classify``."""
     prev, curr = pair
     t1 = curr.poc - prev.poc
     out = derive_field_params(curr, prev)
@@ -254,14 +230,15 @@ def test_derive_field_matches_the_per_cell_solve(pair):
                 mvx, mvy = (int(v) for v in curr.mv[cy, cx])
                 px = 4 * cx + 2 + div_round_half_away(mvx, 16)
                 py = 4 * cy + 2 + div_round_half_away(mvy, 16)
-                src = prev.cell_at(min(max(px, 0), prev.width - 1),
-                                   min(max(py, 0), prev.height - 1))
-                if src.mv is None:
+                sy = min(max(py, 0), prev.height - 1) // 4
+                sx = min(max(px, 0), prev.width - 1) // 4
+                if prev.ref_distance[sy, sx] <= 0:
                     solved = (div_round_half_away(mvx * P, t1),
                               div_round_half_away(mvy * P, t1), 0, 0)
                 else:
-                    solved = _derive_scaled(src.mv.x, src.mv.y, mvx, mvy,
-                                            src.ref_distance.ticks, t1)
+                    mv0 = MotionVector(*prev.mv[sy, sx].tolist())
+                    t0 = TimeInterval(int(prev.ref_distance[sy, sx]))
+                    solved = _derive_scaled(mv0.x, mv0.y, mvx, mvy, t0.ticks, t1)
                 want = UammParams.classify(*solved)
             assert (tuple(out.v0[cy, cx]), tuple(out.acc[cy, cx]), out.kind[cy, cx]) == (
                 (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
@@ -391,8 +368,8 @@ def _random_inheritance(draw):
 @given(_random_inheritance())
 def test_inherit_matches_the_displaced_center_cell(case):
     """The array gather, with one vector for the block or one per
-    sub-block, and its scalar wrapper against a per-sub-block ``cell_at``
-    lookup of the displaced, clamped sub-block center."""
+    sub-block, and its scalar wrapper against the parameters of the cell
+    under each displaced, clamped sub-block center."""
     f, block, mvs, planes = case
     rows, cols = block.h // 4, block.w // 4
     rect = (block.x, block.y, block.w, block.h)
@@ -406,8 +383,8 @@ def test_inherit_matches_the_displaced_center_cell(case):
                 mvx, mvy = vectors[j, i].tolist()
                 px = block.x + 4 * i + 2 + div_round_half_away(mvx, 16)
                 py = block.y + 4 * j + 2 + div_round_half_away(mvy, 16)
-                grid[j].append(f.cell_at(min(max(px, 0), f.width - 1),
-                                         min(max(py, 0), f.height - 1)).params)
+                grid[j].append(params_at(f, min(max(py, 0), f.height - 1) // 4,
+                                         min(max(px, 0), f.width - 1) // 4))
         return grid
 
     def assert_gathered(gathered, want):
@@ -476,16 +453,18 @@ def _random_dump_field(draw):
 
 @given(_random_dump_field())
 def test_dump_field_csv_matches_a_per_cell_reference(f):
-    """Each row against the cell's ``cell_at`` view, formatted field by field."""
+    """Each row against the cell's vector, distance and parameters, read
+    from the planes and formatted field by field."""
     buf = io.StringIO()
     dump_field_csv(f, buf)
     want = [["poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay"]]
     for cy in range(f.cells_y):
         for cx in range(f.cells_x):
-            cell = f.cell_at(4 * cx, 4 * cy)
-            mv = ("", "", "") if cell.mv is None else (
-                cell.mv.x, cell.mv.y, cell.ref_distance.ticks)
-            p = cell.params
+            mv = ("", "", "")
+            if f.ref_distance[cy, cx] > 0:
+                vector = MotionVector(*f.mv[cy, cx].tolist())
+                mv = (vector.x, vector.y, TimeInterval(int(f.ref_distance[cy, cx])).ticks)
+            p = params_at(f, cy, cx)
             want.append([str(v) for v in (f.poc, cx, cy, *mv, p.kind.name.capitalize(),
                                           p.v0x, p.v0y, p.ax, p.ay)])
     assert buf.getvalue() == "".join(",".join(row) + "\n" for row in want)

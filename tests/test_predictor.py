@@ -22,14 +22,11 @@ from uamm import (
     UammParams,
     correct_mvs,
     derive_field_params,
-    estimate_field,
     field_from_global_mv,
     full_search_me,
-    motion_compensate,
     predict_uamm,
     predict_frame,
     predict_uniform,
-    search_field,
     search_fields,
     synth_sequence,
 )
@@ -187,19 +184,18 @@ def test_search_validates_inputs():
         full_search_me(frame(luma), frame(luma), BlockSpec(12, 12, 8, 8), 2)
     # 2048 pel is 32768 units, past MV_MAX: rejected before any offset is searched
     with pytest.raises(ValueError, match="at most 2047"):
-        search_field(frame(luma, poc=1), frame(luma), 8, 2048)
+        search_fields(frame(luma, poc=1), frame(luma), [8], 2048)
 
 
-def test_estimate_field_clips_the_tiling_at_the_frame_edges():
+def test_search_fields_clips_the_tiling_at_the_frame_edges():
+    """16x16 blocks on a 40x24 frame: the last block column is 8 wide and
+    the last block row 8 high, and every block, clipped or not, finds the
+    shift; every cell of the 10x6 grid carries its block's vector."""
     rng = np.random.default_rng(5)
     ref = frame(noise(rng, 40, 24), poc=1)
     src = frame(shifted_right(ref.luma, 2), poc=3)
-    field, searched = estimate_field(src, ref, 16, 4)
-    assert [(b.x, b.y, b.w, b.h) for b, _ in searched] == [
-        (0, 0, 16, 16), (16, 0, 16, 16), (32, 0, 8, 16),
-        (0, 16, 16, 8), (16, 16, 16, 8), (32, 16, 8, 8)]
-    assert all(mv == MotionVector(-32, 0) for _, mv in searched)
-    assert field.poc == 3
+    [field] = search_fields(src, ref, [16], 4)
+    assert field.poc == 3 and field.mv.shape == (6, 10, 2)
     assert (field.mv == (-32, 0)).all() and (field.ref_distance == 2).all()
 
 
@@ -258,7 +254,7 @@ _TIED_CASES = [(kinds, r) for kinds in [("levels", "levels"), ("periodic", "peri
 
 @pytest.mark.parametrize("kinds,search_range", _TIED_CASES,
                          ids=[f"{a}-{b}-r{r}" for (a, b), r in _TIED_CASES])
-def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, search_range):
+def test_search_fields_matches_a_brute_force_search_on_tied_frames(kinds, search_range):
     """The frame-wide search against ``_brute_force_vectors`` on an 80x72
     frame, whose edge blocks clip at most block sides, on low-entropy
     content where many offsets tie; both frames stay untouched."""
@@ -267,22 +263,17 @@ def test_estimate_field_matches_a_brute_force_search_on_tied_frames(kinds, searc
     src, ref = frame(luma_src.copy(), poc=1), frame(luma_ref.copy(), poc=0)
     block_sizes = (4, 12, 16, 20, 28, 64)
     want = _brute_force_vectors(luma_src, luma_ref, block_sizes, search_range)
-    for block_size in block_sizes:
-        field, searched = estimate_field(src, ref, block_size, search_range)
-        assert {(b.x, b.y): mv for b, mv in searched} == want[block_size]
-        for block, mv in searched:
-            cells = field.mv[block.y // 4:(block.y + block.h) // 4,
-                             block.x // 4:(block.x + block.w) // 4]
-            assert (cells == (mv.x, mv.y)).all()
-    # One shared pass for all six sizes at once: gcd 4, sizes that do not
-    # nest (12/20/28) and clipped edge tiles.
-    fields = search_fields(src, ref, list(block_sizes), search_range)
-    assert len(fields) == len(block_sizes)
-    for block_size, field in zip(block_sizes, fields):
-        for (x, y), mv in want[block_size].items():
-            cells = field.mv[y // 4:(y + block_size) // 4, x // 4:(x + block_size) // 4]
-            assert (cells == (mv.x, mv.y)).all()
-        assert (field.ref_distance == 1).all()
+    # Each size in a pass of its own, then one shared pass for all six sizes
+    # at once: gcd 4, sizes that do not nest (12/20/28) and clipped edge tiles.
+    alone = [search_fields(src, ref, [bs], search_range)[0] for bs in block_sizes]
+    shared = search_fields(src, ref, list(block_sizes), search_range)
+    assert len(shared) == len(block_sizes)
+    for fields in (alone, shared):
+        for block_size, field in zip(block_sizes, fields):
+            for (x, y), mv in want[block_size].items():
+                cells = field.mv[y // 4:(y + block_size) // 4, x // 4:(x + block_size) // 4]
+                assert (cells == (mv.x, mv.y)).all()
+            assert (field.ref_distance == 1).all()
     assert np.array_equal(src.luma, luma_src) and np.array_equal(ref.luma, luma_ref)
 
 
@@ -475,7 +466,7 @@ def test_search_sums_stay_exact_past_the_uint16_row_bound():
     would wrap to 254 in uint16 and win."""
     black = np.zeros((264, 264), dtype=np.uint8)
     white = np.full_like(black, 255)
-    field = search_field(frame(black, poc=1), frame(white), 260, 1)
+    [field] = search_fields(frame(black, poc=1), frame(white), [260], 1)
     assert not field.mv.any()
     assert full_search_me(frame(black[:, :8], poc=1), frame(white[:, :8]),
                           BlockSpec(0, 0, 8, 260), 2) == MotionVector(0, 0)
@@ -532,16 +523,16 @@ def test_block_sads_matches_an_int64_tile_sum(case):
 def test_frame_kernels_validate_inputs():
     luma, wide = np.zeros((16, 16), dtype=np.uint8), np.zeros((16, 24), dtype=np.uint8)
     with pytest.raises(ValueError, match="search range"):
-        search_field(frame(luma), frame(luma, poc=-1), 8, -1)
+        search_fields(frame(luma), frame(luma, poc=-1), [8], -1)
     with pytest.raises(ValueError, match="leaves the 16x16 frame"):
-        search_field(frame(wide), frame(luma, poc=-1), 8, 1)
+        search_fields(frame(wide), frame(luma, poc=-1), [8], 1)
     with pytest.raises(ValueError, match="multiples of 4"):
-        search_field(frame(luma), frame(luma, poc=-1), 6, 1)
+        search_fields(frame(luma), frame(luma, poc=-1), [6], 1)
     with pytest.raises(ValueError, match="multiples of 4"):
         search_fields(frame(luma), frame(luma, poc=-1), [], 1)
     with pytest.raises(ValueError, match="multiples of 4"):
         search_fields(frame(luma), frame(luma, poc=-1), [8, 6], 1)
-    field = search_field(frame(luma), frame(luma, poc=-1), 8, 1)
+    [field] = search_fields(frame(luma), frame(luma, poc=-1), [8], 1)
     with pytest.raises(ValueError, match="leaves the 16x16 frame"):
         predict_frame(frame(wide), frame(luma), field, 8)
     with pytest.raises(ValueError, match="one vector per 4x4 cell"):
@@ -555,13 +546,13 @@ def test_frame_kernels_validate_inputs():
 def test_compensate_zero_vector_is_a_copy():
     rng = np.random.default_rng(4)
     luma = noise(rng, 16, 16)
-    got = motion_compensate(frame(luma), BlockSpec(4, 4, 8, 8), MotionVector(0, 0))
+    got = sample_block(luma, 4, 4, 8, 8, (0, 0))
     assert np.array_equal(got, luma[4:12, 4:12])
 
 
 def test_compensate_half_pel_on_ramp():
     ramp = np.tile(np.arange(16, dtype=np.uint8), (16, 1))
-    got = motion_compensate(frame(ramp), BlockSpec(0, 0, 8, 8), MotionVector(8, 0))
+    got = sample_block(ramp, 0, 0, 8, 8, (8, 0))
     # x + 0.5 rounds away from zero to x + 1
     expected = np.tile(np.arange(1, 9, dtype=np.uint8), (8, 1))
     assert np.array_equal(got, expected)
@@ -570,19 +561,16 @@ def test_compensate_half_pel_on_ramp():
 def test_compensate_outside_frame_replicates_border():
     rng = np.random.default_rng(5)
     luma = noise(rng, 16, 16)
-    got = motion_compensate(frame(luma), BlockSpec(0, 0, 4, 4),
-                            MotionVector(16 * 100, 0))
+    got = sample_block(luma, 0, 0, 4, 4, (16 * 100, 0))
     assert np.array_equal(got, np.repeat(luma[0:4, 15:16], 4, axis=1))
 
 
 def test_compensate_integer_vectors_never_interpolate():
     rng = np.random.default_rng(6)
     luma = noise(rng, 32, 32)
-    block = BlockSpec(12, 12, 8, 8)
     for dx in (-2, 0, 3):
         for dy in (-1, 0, 2):
-            got = motion_compensate(frame(luma), block,
-                                    MotionVector(16 * dx, 16 * dy))
+            got = sample_block(luma, 12, 12, 8, 8, (16 * dx, 16 * dy))
             assert np.array_equal(
                 got, luma[12 + dy:20 + dy, 12 + dx:20 + dx])
 
