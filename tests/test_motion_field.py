@@ -335,6 +335,47 @@ def test_inherit_is_total_on_empty_fields():
     assert all(p.kind == ParamKind.UNAVAILABLE for row in grid for p in row)
 
 
+def _field_naming_its_cells(w, h):
+    """A field whose cell (cy, cx) holds v0 = (cx + 1, cy + 1)."""
+    return _field_with_cell_params(
+        w, h, lambda cx, cy: UammParams(cx + 1, cy + 1, 0, 0, ParamKind.LINEAR))
+
+
+def _gathered_cell(f, x, y, w, h, mvx, mvy):
+    """The (cy, cx) of the cell each sub-block of the rect gathered from."""
+    v0, _, _ = gather_params(f, x, y, w, h, mvx, mvy)
+    return [[(vy - 1, vx - 1) for vx, vy in row] for row in v0.tolist()]
+
+
+def test_gather_params_finds_the_cell_by_division():
+    """A 4x4 block at the origin, its center (2, 2) moved by whole pixels:
+    pixel 3 is still cell 0, pixel 4 is cell 1, on both axes."""
+    f = _field_naming_its_cells(8, 8)
+    assert _gathered_cell(f, 0, 0, 4, 4, 16, 16) == [[(0, 0)]]
+    assert _gathered_cell(f, 0, 0, 4, 4, 32, 16) == [[(0, 1)]]
+    assert _gathered_cell(f, 0, 0, 4, 4, 16, 32) == [[(1, 0)]]
+    assert _gathered_cell(f, 0, 0, 4, 4, 5 * 16, 5 * 16) == [[(1, 1)]]
+
+
+def test_gather_params_partial_last_cell_is_the_last_cell():
+    """On a 17x13 frame the grid is 5x4 cells, and the last one covers a
+    single pixel. The center of a 4x4 rect there, (18, 14), lies past the
+    frame and clamps to pixel (16, 12), which is that last cell."""
+    f = _field_naming_its_cells(17, 13)
+    assert (f.cells_y, f.cells_x) == (4, 5)
+    assert _gathered_cell(f, 16, 12, 4, 4, 0, 0) == [[(3, 4)]]
+    assert _gathered_cell(f, 12, 8, 8, 8, 0, 0) == [[(2, 3), (2, 4)], [(3, 3), (3, 4)]]
+
+
+@pytest.mark.parametrize("px,py", [(-1, 0), (0, -1), (16, 0), (0, 12), (99, 99)])
+def test_gather_params_clamps_an_out_of_frame_center(px, py):
+    """A center displaced to pixel (px, py) outside the 16x12 frame reads
+    the cell of the nearest frame pixel; it never wraps or raises."""
+    f = _field_naming_its_cells(16, 12)
+    want = (min(max(py, 0), 11) // 4, min(max(px, 0), 15) // 4)
+    assert _gathered_cell(f, 0, 0, 4, 4, 16 * (px - 2), 16 * (py - 2)) == [[want]]
+
+
 @st.composite
 def _random_inheritance(draw):
     """A field with random parameters, a block inside it, and vectors."""
