@@ -15,9 +15,7 @@ unavailable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import IO, TYPE_CHECKING
 
 import numpy as np
@@ -39,6 +37,10 @@ CELL_SIZE = 4
 _CSV_COLUMNS = ("poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay")
 # The CSV name of each ParamKind, indexed by its value.
 _KIND_NAMES = [ParamKind(v).name.capitalize() for v in range(len(ParamKind))]
+_KIND = _CSV_COLUMNS.index("kind")
+# Bytes of the text block one dump_field_csv chunk formats (whole cell rows,
+# at least one); its mask, values and compress indices take about 7x more.
+_DUMP_BYTES = 64 * 1024
 
 
 @dataclass
@@ -79,14 +81,6 @@ class MotionField:
     @property
     def cells_x(self) -> int:
         return self.mv.shape[1]
-
-    def set_block_mv(self, x: int, y: int, width: int, height: int,
-                     mv: MotionVector, ref_distance: TimeInterval) -> None:
-        """Assign one coded vector to every cell covered by a pixel rect."""
-        cy0, cy1 = y // CELL_SIZE, (y + height - 1) // CELL_SIZE + 1
-        cx0, cx1 = x // CELL_SIZE, (x + width - 1) // CELL_SIZE + 1
-        self.mv[cy0:cy1, cx0:cx1] = (mv.x, mv.y)
-        self.ref_distance[cy0:cy1, cx0:cx1] = ref_distance.ticks
 
 
 def field_from_global_mv(
@@ -178,19 +172,67 @@ def inherit_params(
 
 
 def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
-    """Write one row per cell. Cells without a vector leave mv columns empty.
+    """Write one row per cell, cy-major. Cells without a vector leave the
+    mv columns empty.
 
-    Rows are formatted one cell row at a time from the planes' values.
+    Rows are formatted by integer array arithmetic, a chunk of whole cell
+    rows at a time, in a byte block of up to ``_DUMP_BYTES``. A row is a
+    run of equal slots, each a sign byte, the digits of the field's widest
+    value and a comma (a newline ends the row). Every integer column takes
+    one slot, its value right-aligned; the kind's name, from a table, takes
+    as many slots as it needs. A mask of the bytes that stay (the sign of a
+    negative value, its significant digits and always its units digit, the
+    name's letters) compresses each chunk's block to its text, which is
+    written at once.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for cy in range(field_obj.cells_y):
-        mvx, mvy = field_obj.mv[cy].T.tolist()
-        dist = field_obj.ref_distance[cy].tolist()
-        for cx in np.flatnonzero(field_obj.ref_distance[cy] <= 0).tolist():
-            mvx[cx] = mvy[cx] = dist[cx] = ""
-        kinds = [_KIND_NAMES[k] for k in field_obj.kind[cy].tolist()]
-        v0x, v0y = field_obj.v0[cy].T.tolist()
-        ax, ay = field_obj.acc[cy].T.tolist()
-        writer.writerows(zip(repeat(field_obj.poc), range(field_obj.cells_x), repeat(cy),
-                             mvx, mvy, dist, kinds, v0x, v0y, ax, ay))
+    f = field_obj
+    stream.write(",".join(_CSV_COLUMNS) + "\n")
+    planes = (f.mv[..., 0], f.mv[..., 1], f.ref_distance,
+              f.v0[..., 0], f.v0[..., 1], f.acc[..., 0], f.acc[..., 1])
+    digits = len(str(max(abs(f.poc), f.cells_x, f.cells_y,
+                         *(max(-int(p.min()), int(p.max())) for p in planes))))
+    slot = digits + 2
+    sign, units = 0, slot - 2
+    kind_slots = -(-(max(map(len, _KIND_NAMES)) + 1) // slot)   # name and comma
+    name = slice(_KIND * slot, (_KIND + kind_slots) * slot - 1)   # bytes of a row
+    name_width = name.stop - name.start
+    names = np.array([list(n.ljust(name_width).encode()) for n in _KIND_NAMES], np.uint8)
+    letters = np.arange(name_width) < np.array([[len(n)] for n in _KIND_NAMES])
+
+    columns = len(_CSV_COLUMNS) - 1 + kind_slots
+    rows = max(1, min(f.cells_y, _DUMP_BYTES // (f.cells_x * columns * slot)))
+    # [cell, slot, byte]: one flat stride reaches the same byte of every slot
+    block = np.zeros((rows * f.cells_x, columns, slot), dtype=np.uint8)
+    keep = np.zeros(block.shape, dtype=bool)
+    block[:, :, sign] = ord("-")
+    block[:, :, -1] = ord(",")
+    block[:, -1, -1] = ord("\n")
+    keep[:, :, -1] = keep[:, :, units] = True
+    values = np.zeros(block.shape[:2], dtype=np.int64)    # the kind's slots hold 0
+    values[:, 0] = f.poc
+    values[:, 1] = np.tile(np.arange(f.cells_x), rows)
+    for r0 in range(0, f.cells_y, rows):
+        r1 = min(r0 + rows, f.cells_y)
+        n = (r1 - r0) * f.cells_x
+        v, b, k = values[:n], block[:n], keep[:n]
+        v[:, 2] = np.arange(r0, r1).repeat(f.cells_x)
+        v[:, 3:5] = f.mv[r0:r1].reshape(n, 2)
+        v[:, 5] = f.ref_distance[r0:r1].reshape(n)
+        hidden = v[:, 5] <= 0
+        v[hidden, 3:6] = 0                    # no sign, no digits ...
+        k[:, 3:6, units] = ~hidden[:, None]   # ... and no units digit
+        v[:, -4:-2] = f.v0[r0:r1].reshape(n, 2)
+        v[:, -2:] = f.acc[r0:r1].reshape(n, 2)
+        np.less(v, 0, out=k[:, :, sign])
+        mag = np.abs(v).view(np.uint64)       # |-2**63| wraps to the bits of 2**63
+        for p in range(units, sign, -1):
+            if p < units:
+                np.greater(mag, 0, out=k[:, :, p])
+            q = mag // 10
+            mag -= q * 10                     # the digit; mag % 10 is 5-7x slower
+            np.add(mag, ord("0"), out=b[:, :, p], casting="unsafe")
+            mag = q
+        kinds = f.kind[r0:r1].reshape(n)
+        b.reshape(n, -1)[:, name] = names[kinds]
+        k.reshape(n, -1)[:, name] = letters[kinds]
+        stream.write(np.compress(k.reshape(-1), b).tobytes().decode("ascii"))

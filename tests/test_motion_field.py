@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from uamm import (
     div_round_half_away,
     inherit_params,
 )
+from uamm import motion_field
 from uamm.kinematics import _derive_scaled
 from uamm.motion_field import gather_params
 
@@ -51,15 +53,6 @@ def test_empty_field_is_all_unavailable():
     assert (f.ref_distance == 0).all()
     assert all(params_at(f, cy, cx) == UammParams.unavailable()
                for cy in range(2) for cx in range(3))
-
-
-def test_set_block_mv_covers_exactly_the_rect():
-    f = MotionField.empty(0, 16, 16)
-    f.set_block_mv(4, 4, 8, 8, MotionVector(7, -7), TICK)
-    assert (f.ref_distance > 0).sum() == 4
-    assert (f.ref_distance[1:3, 1:3] == 1).all()
-    assert (f.mv[1:3, 1:3] == (7, -7)).all()
-    assert f.ref_distance[0, 0] == 0 and f.ref_distance[1, 3] == 0
 
 
 # -------------------------------------------------------------- derivation
@@ -90,7 +83,7 @@ def test_derive_static_broken_chain_is_constant():
 def test_derive_no_vector_stays_unavailable():
     prev = global_field(1, 16, 16, 2, 0)
     curr = MotionField.empty(2, 16, 16)
-    curr.set_block_mv(0, 0, 4, 4, MotionVector(4, 0), TICK)
+    curr.mv[0, 0], curr.ref_distance[0, 0] = (4, 0), 1
     out = derive_field_params(curr, prev)
     assert out.kind[0, 0] == ParamKind.ACCELERATED
     assert out.kind[2, 2] == ParamKind.UNAVAILABLE
@@ -115,9 +108,9 @@ def test_derive_follows_the_stored_vector():
     """The chain reads the displaced cell of the previous field, not the
     co-located one."""
     prev = MotionField.empty(1, 16, 8)
-    prev.set_block_mv(4, 0, 4, 4, MotionVector(32, 0), TICK)  # only cell (0,1)
+    prev.mv[0, 1], prev.ref_distance[0, 1] = (32, 0), 1  # only cell (0,1)
     curr = MotionField.empty(2, 16, 8)
-    curr.set_block_mv(0, 0, 4, 4, MotionVector(64, 0), TICK)
+    curr.mv[0, 0], curr.ref_distance[0, 0] = (64, 0), 1
     out = derive_field_params(curr, prev)
     # center (2,2) + 64/16 px lands at (6,2): cell (0,1) of prev
     p = params_at(out, 0, 0)
@@ -127,9 +120,9 @@ def test_derive_follows_the_stored_vector():
 
 def test_derive_clamps_displaced_position_to_border():
     prev = MotionField.empty(1, 16, 8)
-    prev.set_block_mv(12, 0, 4, 4, MotionVector(2, 0), TICK)  # last column only
+    prev.mv[0, 3], prev.ref_distance[0, 3] = (2, 0), 1  # last column only
     curr = MotionField.empty(2, 16, 8)
-    curr.set_block_mv(12, 0, 4, 4, MotionVector(4096, 0), TICK)  # 256 px right
+    curr.mv[0, 3], curr.ref_distance[0, 3] = (4096, 0), 1  # 256 px right
     out = derive_field_params(curr, prev)
     # clamped to pixel 15 -> last-column cell, which has a vector
     assert out.kind[0, 3] == ParamKind.ACCELERATED
@@ -141,13 +134,11 @@ def test_derive_never_accelerated_with_zero_acceleration():
         prev = MotionField.empty(1, 16, 16)
         curr = MotionField.empty(2, 16, 16)
         for f in (prev, curr):
-            for y in range(0, 16, 4):
-                for x in range(0, 16, 4):
+            for cy in range(4):
+                for cx in range(4):
                     if rng.random() < 0.7:
-                        f.set_block_mv(x, y, 4, 4,
-                                       MotionVector(int(rng.integers(-48, 49)),
-                                                    int(rng.integers(-48, 49))),
-                                       TICK)
+                        f.mv[cy, cx] = rng.integers(-48, 49, 2)
+                        f.ref_distance[cy, cx] = 1
         out = derive_field_params(curr, prev)
         accelerated = out.kind == int(ParamKind.ACCELERATED)
         zero_acc = np.all(out.acc == 0, axis=-1)
@@ -448,7 +439,7 @@ def test_inherit_matches_the_displaced_center_cell(case):
 def test_dump_field_csv_shape_and_values():
     prev = global_field(1, 8, 8, 2, 0)
     curr = MotionField.empty(2, 8, 8)
-    curr.set_block_mv(0, 0, 4, 4, MotionVector(4, 0), TICK)
+    curr.mv[0, 0], curr.ref_distance[0, 0] = (4, 0), 1
     out = derive_field_params(curr, prev)
 
     buf = io.StringIO()
@@ -509,3 +500,99 @@ def test_dump_field_csv_matches_a_per_cell_reference(f):
             want.append([str(v) for v in (f.poc, cx, cy, *mv, p.kind.name.capitalize(),
                                           p.v0x, p.v0y, p.ax, p.ay)])
     assert buf.getvalue() == "".join(",".join(row) + "\n" for row in want)
+
+
+def _csv_writer_dump(f, stream):
+    """The per-cell ``csv.writer`` dump that the array formatter replaced:
+    the byte oracle of the tests below."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind",
+                     "v0x", "v0y", "ax", "ay"])
+    for cy in range(f.cells_y):
+        for cx in range(f.cells_x):
+            mv = ["", "", ""]
+            if f.ref_distance[cy, cx] > 0:
+                mv = [*f.mv[cy, cx].tolist(), int(f.ref_distance[cy, cx])]
+            writer.writerow([f.poc, cx, cy, *mv, ParamKind(int(f.kind[cy, cx])).name.capitalize(),
+                             *f.v0[cy, cx].tolist(), *f.acc[cy, cx].tolist()])
+
+
+I32_EDGE = 2**31 - 1
+# Values to draw vectors and ref distances from, then parameters: the
+# extremes of int32 and int64, or values of a few digits, as searches give.
+EDGE_VALUES = {
+    "int64": ([-I32_EDGE, I32_EDGE], [-2**63, 2**63 - 1, -10**18, 10**18]),
+    "small": ([-40, 37], [-1536, 2000, 1024]),
+}
+
+
+def _edge_field(w, h, seed, edges, poc=7):
+    """A w x h px field whose planes mix the ``EDGE_VALUES[edges]`` with
+    zeros and small values: ref distances negative, zero and positive,
+    parameters of either sign, every kind."""
+    ints, params = EDGE_VALUES[edges]
+    rng = np.random.default_rng(seed)
+    pick = lambda values, shape: np.array(values)[rng.integers(0, len(values), shape)]
+    f = MotionField.empty(poc, w, h)
+    f.mv[...] = pick(ints + [0, -5, 12], f.mv.shape)
+    f.ref_distance[...] = pick(ints + [-3, -1, 0, 1, 2], f.ref_distance.shape)
+    f.v0[...] = pick(params + [0, -1, 9], f.v0.shape)
+    f.acc[...] = pick(params + [0, 1, -64], f.acc.shape)
+    f.kind[...] = rng.integers(0, len(ParamKind), f.kind.shape)
+    return f
+
+
+def _assert_dump_matches_csv_writer(f):
+    got, want = io.StringIO(), io.StringIO()
+    dump_field_csv(f, got)
+    _csv_writer_dump(f, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("edges", sorted(EDGE_VALUES))
+@pytest.mark.parametrize("w,h", [(2048, 2048), (4095, 37), (37, 1999), (517, 515), (1, 1)])
+def test_dump_field_csv_matches_the_csv_writer_across_chunks(edges, w, h):
+    """Fields wider than one chunk (a 2048 px row of int64 extremes is more
+    than _DUMP_BYTES, so each chunk is one row), taller than one chunk, and
+    odd sizes whose last chunk is partial."""
+    _assert_dump_matches_csv_writer(_edge_field(w, h, w * h, edges))
+
+
+@pytest.mark.parametrize("edges", sorted(EDGE_VALUES))
+@pytest.mark.parametrize("dump_bytes", [1, 700, 5000])
+def test_dump_field_csv_matches_the_csv_writer_at_any_chunk_size(monkeypatch, dump_bytes, edges):
+    """One cell row per chunk, a few rows with a partial last chunk, and
+    chunks that differ in how many rows they hold."""
+    monkeypatch.setattr(motion_field, "_DUMP_BYTES", dump_bytes)
+    for seed, (w, h) in enumerate([(44, 45), (9, 61), (64, 64)]):
+        _assert_dump_matches_csv_writer(_edge_field(w, h, seed, edges, poc=1000 * seed - 1))
+
+
+class _CountingSink:
+    """A text stream that keeps only how much it was given."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def tell(self):
+        return self.size
+
+
+@pytest.mark.parametrize("size,edges", [(512, "small"), (2048, "int64")])
+def test_dump_field_csv_memory_stays_flat(size, edges):
+    """The dump's traced peak stays under 1 MiB whatever the field's size:
+    a 2048 px row of int64 extremes is the widest chunk a field of that
+    width can give."""
+    field, sink = _edge_field(size, size, size, edges), _CountingSink()
+    tracemalloc.start()
+    try:
+        dump_field_csv(field, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert sink.tell() > field.kind.size * 20

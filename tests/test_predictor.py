@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm import (
+    CELL_SIZE,
     MV_MAX,
     PARAM_SCALE,
     BlockSpec,
@@ -874,10 +875,11 @@ def _assert_frame_equals(got, want):
 def _block_field(w, h, block_size, mvs):
     """A searched-style field: block (i, j) of the tiling carries mvs[j][i]."""
     field = MotionField.empty(1, w, h)
-    for j, y in enumerate(range(0, h, block_size)):
-        for i, x in enumerate(range(0, w, block_size)):
-            field.set_block_mv(x, y, min(block_size, w - x), min(block_size, h - y),
-                               MotionVector(*mvs[j][i]), TimeInterval(1))
+    cells = block_size // CELL_SIZE
+    for j in range(len(mvs)):
+        for i in range(len(mvs[j])):
+            rect = np.s_[j * cells:(j + 1) * cells, i * cells:(i + 1) * cells]
+            field.mv[rect], field.ref_distance[rect] = mvs[j][i], 1
     return field
 
 
