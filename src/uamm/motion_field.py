@@ -39,7 +39,7 @@ _CSV_COLUMNS = ("poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y
 _KIND_NAMES = [ParamKind(v).name.capitalize() for v in range(len(ParamKind))]
 _KIND = _CSV_COLUMNS.index("kind")
 # Bytes of the text block one dump_field_csv chunk formats (whole cell rows,
-# at least one); its mask, values and compress indices take about 7x more.
+# at least one); its mask, values and compress indices take about 9x more.
 _DUMP_BYTES = 64 * 1024
 
 

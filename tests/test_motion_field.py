@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -502,19 +503,21 @@ def test_dump_field_csv_matches_a_per_cell_reference(f):
     assert buf.getvalue() == "".join(",".join(row) + "\n" for row in want)
 
 
-def _csv_writer_dump(f, stream):
-    """The per-cell ``csv.writer`` dump that the array formatter replaced:
-    the byte oracle of the tests below."""
+def _csv_writer_dump(field_obj, stream):
+    """The ``csv.writer`` body that ``dump_field_csv`` had before it
+    formatted by array arithmetic: the byte oracle of the tests below."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind",
-                     "v0x", "v0y", "ax", "ay"])
-    for cy in range(f.cells_y):
-        for cx in range(f.cells_x):
-            mv = ["", "", ""]
-            if f.ref_distance[cy, cx] > 0:
-                mv = [*f.mv[cy, cx].tolist(), int(f.ref_distance[cy, cx])]
-            writer.writerow([f.poc, cx, cy, *mv, ParamKind(int(f.kind[cy, cx])).name.capitalize(),
-                             *f.v0[cy, cx].tolist(), *f.acc[cy, cx].tolist()])
+    writer.writerow(motion_field._CSV_COLUMNS)
+    for cy in range(field_obj.cells_y):
+        mvx, mvy = field_obj.mv[cy].T.tolist()
+        dist = field_obj.ref_distance[cy].tolist()
+        for cx in np.flatnonzero(field_obj.ref_distance[cy] <= 0).tolist():
+            mvx[cx] = mvy[cx] = dist[cx] = ""
+        kinds = [motion_field._KIND_NAMES[k] for k in field_obj.kind[cy].tolist()]
+        v0x, v0y = field_obj.v0[cy].T.tolist()
+        ax, ay = field_obj.acc[cy].T.tolist()
+        writer.writerows(zip(repeat(field_obj.poc), range(field_obj.cells_x), repeat(cy),
+                             mvx, mvy, dist, kinds, v0x, v0y, ax, ay))
 
 
 I32_EDGE = 2**31 - 1
