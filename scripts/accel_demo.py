@@ -59,10 +59,10 @@ def main():
             k - 2, SIZE, SIZE, MotionVector(-gt[k - 3].x, -gt[k - 3].y), tick)
         f_prev1 = field_from_global_mv(
             k - 1, SIZE, SIZE, MotionVector(-gt[k - 2].x, -gt[k - 2].y), tick)
-        ref_field = derive_field_params(f_prev1, f_prev2)
+        ref_params = derive_field_params(f_prev1, f_prev2)
         field = search_fields(frames[k], frames[k - 1], [BLOCK], SEARCH)[0]
         base = predict_frame(frames[k], frames[k - 1], field, BLOCK)
-        refined = predict_frame(frames[k], frames[k - 1], field, BLOCK, ref_field)
+        refined = predict_frame(frames[k], frames[k - 1], field, BLOCK, ref_params)
         rect = footprint(k)
         sad_uni = object_sad(frames[k], base.pred, rect)
         sad_uamm = object_sad(frames[k], refined.pred, rect)

@@ -23,6 +23,7 @@ from .kinematics import (
 )
 from .motion_field import (
     CELL_SIZE,
+    FieldParams,
     MotionField,
     derive_field_params,
     dump_field_csv,

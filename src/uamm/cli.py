@@ -78,10 +78,11 @@ def cmd_demo_field(args) -> int:
     field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
         searched = search_fields(frames[k], frames[k - 1], [cfg.block_size], cfg.search_range)
-        field = derive_field_params(searched[0], field)
+        params = derive_field_params(searched[0], field)
+        field = params.field
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
         with open(path, "w") as fh:
-            dump_field_csv(field, fh)
+            dump_field_csv(params, fh)
     print(f"wrote {len(frames) - 1} field CSVs to {cfg.output_dir}")
     return 0
 

@@ -25,7 +25,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .motion_field import CELL_SIZE, MotionField, derive_field_params
+from .motion_field import CELL_SIZE, FieldParams, MotionField, derive_field_params
 from .predictor import (
     DEFAULT_DELTA_MAX,
     BlockSpec,
@@ -267,18 +267,18 @@ def _run_rate_points(
     Frames run in order. Each frame is searched once per distinct search
     range, for all rate points at that range, then predicted once per
     rate point and mode, every block at a time. Each rate point keeps its
-    own tallies, returned in rate point order, and one field for the uamm
-    mode to read: the one derived for the previous frame, or for the
-    first predicted frame an empty field. The tallies add the blocks up
-    in tiling order.
+    own tallies, returned in rate point order, and the parameters the
+    uamm mode reads: those derived for the previous frame, which hold its
+    searched field for the next derivation, or, for the first predicted
+    frame, none. The tallies add the blocks up in tiling order.
     """
     tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
     by_range: dict[int, list[int]] = {}
     for i, rp in enumerate(rate_points):
         by_range.setdefault(rp.search_range, []).append(i)
 
-    first = frames[0]
-    derived = [MotionField.empty(first.poc, first.width, first.height)] * len(rate_points)
+    empty = MotionField.empty(frames[0].poc, frames[0].width, frames[0].height)
+    derived = [FieldParams.unavailable(empty)] * len(rate_points)
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
         searched: dict[int, MotionField] = {}
@@ -291,7 +291,7 @@ def _run_rate_points(
             for m, tally in tallies[i].items():
                 frame = predict_frame(src, ref, field_k, rp.block_size,
                                       derived[i] if m == "uamm" else None,
-                                      t0=1, t1=1, t2=1, delta_max=delta_max)
+                                      t2=1, delta_max=delta_max)
                 sads = frame.sads.ravel().tolist()
                 tally.sad_total += sum(sads)
                 tally.blocks += len(sads)
@@ -303,7 +303,7 @@ def _run_rate_points(
                 tally.frame_psnrs.append(psnr(src.luma, frame.pred))
             # Only the uamm mode of a later frame reads the parameters.
             if "uamm" in modes and k + 1 < len(frames):
-                derived[i] = derive_field_params(field_k, derived[i])
+                derived[i] = derive_field_params(field_k, derived[i].field)
     return tallies
 
 

@@ -2,8 +2,8 @@
 
 Each reconstructed frame keeps one cell per 4x4 block holding the coded
 motion vector (fetch convention: the block at x sources its prediction
-from x + mv/16 in the reference), the temporal distance that vector spans
-and, after a derivation pass, the solved acceleration parameters.
+from x + mv/16 in the reference) and the temporal distance that vector
+spans. Derived parameters and their windows live apart, in ``FieldParams``.
 
 Parameter derivation chains two fields: for every cell of the current
 field the stored vector is followed back to the previous field, the
@@ -15,7 +15,7 @@ unavailable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
 
 import numpy as np
@@ -52,27 +52,15 @@ class MotionField:
     height: int
     mv: np.ndarray          # (cells_y, cells_x, 2) int32, 1/16-pel units
     ref_distance: np.ndarray  # (cells_y, cells_x) int32 ticks; 0: the cell has no vector
-    v0: np.ndarray          # (cells_y, cells_x, 2) int64, scaled
-    acc: np.ndarray         # (cells_y, cells_x, 2) int64, scaled
-    kind: np.ndarray        # (cells_y, cells_x) uint8 ParamKind values
 
     @classmethod
     def empty(cls, poc: int, width: int, height: int) -> "MotionField":
         """A field with every cell unavailable."""
         if width < 1 or height < 1:
             raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
-        cy = -(-height // CELL_SIZE)
-        cx = -(-width // CELL_SIZE)
-        return cls(
-            poc=poc,
-            width=width,
-            height=height,
-            mv=np.zeros((cy, cx, 2), dtype=np.int32),
-            ref_distance=np.zeros((cy, cx), dtype=np.int32),
-            v0=np.zeros((cy, cx, 2), dtype=np.int64),
-            acc=np.zeros((cy, cx, 2), dtype=np.int64),
-            kind=np.zeros((cy, cx), dtype=np.uint8),
-        )
+        cells = (-(-height // CELL_SIZE), -(-width // CELL_SIZE))
+        return cls(poc, width, height, np.zeros((*cells, 2), dtype=np.int32),
+                   np.zeros(cells, dtype=np.int32))
 
     @property
     def cells_y(self) -> int:
@@ -81,6 +69,28 @@ class MotionField:
     @property
     def cells_x(self) -> int:
         return self.mv.shape[1]
+
+
+@dataclass
+class FieldParams:
+    """Parameters derived for each cell of ``field`` (held, not copied),
+    indexed [cy, cx], each solved over its window: segments of ``t0``
+    then ``t1`` ticks, both 0 where the kind is UNAVAILABLE."""
+
+    field: MotionField
+    v0: np.ndarray          # (cells_y, cells_x, 2) int64, scaled
+    acc: np.ndarray         # (cells_y, cells_x, 2) int64, scaled
+    kind: np.ndarray        # (cells_y, cells_x) uint8 ParamKind values
+    t0: np.ndarray          # (cells_y, cells_x) int64 ticks
+    t1: np.ndarray          # (cells_y, cells_x) int64 ticks
+
+    @classmethod
+    def unavailable(cls, field: MotionField) -> "FieldParams":
+        """Parameters of ``field`` with every cell unavailable."""
+        cells = field.ref_distance.shape
+        return cls(field, np.zeros((*cells, 2), dtype=np.int64),
+                   np.zeros((*cells, 2), dtype=np.int64), np.zeros(cells, dtype=np.uint8),
+                   np.zeros(cells, dtype=np.int64), np.zeros(cells, dtype=np.int64))
 
 
 def field_from_global_mv(
@@ -105,15 +115,16 @@ def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mv
             np.minimum(np.maximum(px, 0), field.width - 1) // CELL_SIZE)
 
 
-def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
-    """Fill the parameter planes of ``curr`` by chaining into ``prev``.
+def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:
+    """The parameters of ``curr``, chaining into ``prev``; neither is written.
 
-    Returns a new field; ``curr`` is left untouched. For each cell with a
-    vector, the displaced position (cell pixel center plus the vector
-    rounded to integer pixels, clamped into the frame) selects a cell of
-    ``prev``; a vector there completes the two-segment derivation,
-    otherwise the cell falls back to a linear model with the velocity that
-    reproduces its own vector. The whole grid is solved in one array pass.
+    For each cell with a vector, the displaced position (cell pixel center
+    plus the vector rounded to integer pixels, clamped into the frame)
+    selects a cell of ``prev``; a vector there completes the two-segment
+    derivation over the window (its ref distance, t1 = ``curr.poc -
+    prev.poc``), otherwise the cell falls back to a linear model with the
+    velocity that reproduces its own vector, over (t1, t1). The whole grid
+    is solved in one array pass.
     """
     if curr.poc <= prev.poc:
         raise ValueError(f"need curr.poc > prev.poc, got {curr.poc} <= {prev.poc}")
@@ -130,40 +141,39 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> MotionField:
     mv0 = np.where(chained[:, None], prev.mv[src], mv1)
     t0 = np.where(chained, prev.ref_distance[src], t1)
     solved = _derive_scaled(mv0[:, 0], mv0[:, 1], mv1[:, 0], mv1[:, 1], t0, t1)
-    out = replace(curr, mv=curr.mv.copy(),
-                  ref_distance=curr.ref_distance.copy(), v0=np.zeros_like(curr.v0),
-                  acc=np.zeros_like(curr.acc), kind=np.zeros_like(curr.kind))
+    out = FieldParams.unavailable(curr)
     out.v0[valid, 0], out.v0[valid, 1], out.acc[valid, 0], out.acc[valid, 1] = solved
+    out.t0[valid], out.t1[valid] = t0, t1
     out.kind[valid] = ParamKind.CONSTANT
     out.kind[out.v0.any(axis=2)] = ParamKind.LINEAR
     out.kind[out.acc.any(axis=2)] = ParamKind.ACCELERATED
     return out
 
 
-def gather_params(
-    ref_field: MotionField, x: int, y: int, w: int, h: int, mvx, mvy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gather_params(params: FieldParams, x: int, y: int, w: int, h: int, mvx, mvy
+                  ) -> tuple[np.ndarray, ...]:
     """Parameter planes inherited by the 4x4 sub-blocks of the pixel rect
     (x, y, w, h).
 
     Each sub-block center is displaced by its vector, (mvx, mvy) one pair
     of ints for the rect or of (rows, cols) planes, rounded to integer
     pixels and clamped into the reference frame; the cell found there
-    supplies the sub-block's parameters. Returns ``(v0, acc, kind)``
+    supplies the sub-block's parameters. Returns ``(v0, acc, kind, t0, t1)``
     indexed [row, col] over the sub-blocks: (rows, cols, 2) int64 twice,
-    then (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE).
+    (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE), then the
+    window, (rows, cols) int64 twice.
     """
-    cells = _displaced_cells(ref_field, x, y, w, h, mvx, mvy)
-    return ref_field.v0[cells], ref_field.acc[cells], ref_field.kind[cells]
+    cells = _displaced_cells(params.field, x, y, w, h, mvx, mvy)
+    return tuple(p[cells] for p in (params.v0, params.acc, params.kind, params.t0, params.t1))
 
 
 def inherit_params(
-    ref_field: MotionField, block: "BlockSpec", mv: MotionVector
+    params: FieldParams, block: "BlockSpec", mv: MotionVector
 ) -> list[list[UammParams]]:
     """``gather_params`` as one ``UammParams`` per sub-block, [row][col]:
     a test oracle and tracer hook until the tracer wraps the frame kernels."""
-    v0, acc, kind = gather_params(ref_field, block.x, block.y, block.w, block.h,
-                                  mv.x, mv.y)
+    v0, acc, kind, _, _ = gather_params(params, block.x, block.y, block.w, block.h,
+                                        mv.x, mv.y)
     return [
         [UammParams(vx, vy, ax, ay, ParamKind(k))
          for (vx, vy), (ax, ay), k in zip(v0_row, acc_row, kind_row)]
@@ -171,9 +181,9 @@ def inherit_params(
     ]
 
 
-def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
-    """Write one row per cell, cy-major. Cells without a vector leave the
-    mv columns empty.
+def dump_field_csv(params: FieldParams, stream: IO[str]) -> None:
+    """Write one row per cell of ``params.field``, cy-major, with its
+    parameters. Cells without a vector leave the mv columns empty.
 
     Rows are formatted by integer array arithmetic, a chunk of whole cell
     rows at a time, in a byte block of up to ``_DUMP_BYTES``. A row is a
@@ -185,10 +195,10 @@ def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
     name's letters) compresses each chunk's block to its text, which is
     written at once.
     """
-    f = field_obj
+    f = params.field
     stream.write(",".join(_CSV_COLUMNS) + "\n")
     planes = (f.mv[..., 0], f.mv[..., 1], f.ref_distance,
-              f.v0[..., 0], f.v0[..., 1], f.acc[..., 0], f.acc[..., 1])
+              params.v0[..., 0], params.v0[..., 1], params.acc[..., 0], params.acc[..., 1])
     digits = len(str(max(abs(f.poc), f.cells_x, f.cells_y,
                          *(max(-int(p.min()), int(p.max())) for p in planes))))
     slot = digits + 2
@@ -221,8 +231,8 @@ def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
         hidden = v[:, 5] <= 0
         v[hidden, 3:6] = 0                    # no sign, no digits ...
         k[:, 3:6, units] = ~hidden[:, None]   # ... and no units digit
-        v[:, -4:-2] = f.v0[r0:r1].reshape(n, 2)
-        v[:, -2:] = f.acc[r0:r1].reshape(n, 2)
+        v[:, -4:-2] = params.v0[r0:r1].reshape(n, 2)
+        v[:, -2:] = params.acc[r0:r1].reshape(n, 2)
         np.less(v, 0, out=k[:, :, sign])
         mag = np.abs(v).view(np.uint64)       # |-2**63| wraps to the bits of 2**63
         for p in range(units, sign, -1):
@@ -232,7 +242,7 @@ def dump_field_csv(field_obj: MotionField, stream: IO[str]) -> None:
             mag -= q * 10                     # the digit; mag % 10 is 5-7x slower
             np.add(mag, ord("0"), out=b[:, :, p], casting="unsafe")
             mag = q
-        kinds = f.kind[r0:r1].reshape(n)
+        kinds = params.kind[r0:r1].reshape(n)
         b.reshape(n, -1)[:, name] = names[kinds]
         k.reshape(n, -1)[:, name] = letters[kinds]
         stream.write(np.compress(k.reshape(-1), b).tobytes().decode("ascii"))

@@ -5,9 +5,10 @@ Two modes share one integer-pel motion search:
 * uniform: the block is compensated with the searched vector as-is, the
   classic single-vector baseline.
 * accelerated (uamm): each 4x4 sub-block inherits solved motion
-  parameters from the reference frame's field at the position the block
-  vector points to, extrapolates its own vector for the current distance,
-  is corrected against the block vector, and is compensated separately.
+  parameters and their window from the reference frame's ``FieldParams``
+  where the block vector points, extrapolates its own vector for the
+  current distance, is corrected against the block vector, and is
+  compensated separately.
 
 The frame is the unit of work: ``search_fields`` full-searches every
 block of one frame tiling per block size in one pass over the candidate
@@ -43,7 +44,7 @@ from .kinematics import (
     TimeInterval,
     _extrapolate_scaled,
 )
-from .motion_field import CELL_SIZE, MotionField, gather_params
+from .motion_field import CELL_SIZE, FieldParams, MotionField, gather_params
 # Unused here: perfbench/traced_cli.py patches both names on this module.
 from .interp import sample_block  # noqa: F401
 from .motion_field import inherit_params  # noqa: F401
@@ -169,16 +170,25 @@ def _block_sads(src: np.ndarray, pred: np.ndarray, bh: int, bw: int,
     return _tile_sums(scratch, bh, bw, out)
 
 
-def _search_order(dy_lo: int, dy_hi: int, dx_lo: int, dx_hi: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate offsets of the box dy_lo..dy_hi x dx_lo..dx_hi as (dy, dx)
-    int64 arrays, best tie-break first: smallest |dx|+|dy|, then smallest
-    dy, then smallest dx."""
-    dy, dx = np.indices((dy_hi - dy_lo + 1, dx_hi - dx_lo + 1), dtype=np.int64).reshape(2, -1)
-    dy += dy_lo
-    dx += dx_lo
-    order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy)))
-    return dy[order], dx[order]
+def _search_order(dy_lo: int, dy_hi: int, dx_lo: int, dx_hi: int):
+    """Candidate offsets of the box dy_lo..dy_hi x dx_lo..dx_hi, best
+    tie-break first: smallest |dx|+|dy|, then smallest dy, then smallest
+    dx. Yields them as (dy, dx) int64 arrays of ``_CHUNK`` offsets, the
+    last one shorter, built one ring |dx|+|dy| = d at a time."""
+    dy = dx = np.empty(0, dtype=np.int64)
+    for d in range(max(-dy_lo, dy_hi) + max(-dx_lo, dx_hi) + 1):
+        ring_dy = np.arange(max(dy_lo, -d), min(dy_hi, d) + 1)
+        reach = d - np.abs(ring_dy)
+        ring_dx = np.stack((-reach, reach), axis=-1)
+        keep = (ring_dx >= dx_lo) & (ring_dx <= dx_hi)
+        keep[:, 1] &= reach > 0                 # dx = 0 once
+        dy = np.concatenate((dy, ring_dy.repeat(2)[keep.ravel()]))
+        dx = np.concatenate((dx, ring_dx[keep]))
+        while dy.size >= _CHUNK:
+            yield dy[:_CHUNK], dx[:_CHUNK]
+            dy, dx = dy[_CHUNK:], dx[_CHUNK:]
+    if dy.size:
+        yield dy, dx
 
 
 def _pool(grid: np.ndarray, fy: int, fx: int, out: np.ndarray) -> None:
@@ -282,15 +292,14 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
     views = [sads[:, lo:hi].reshape(_CHUNK, ny, nx)
              for (ny, nx), lo, hi in zip(blocks, bounds, bounds[1:])]
     best = np.full(bounds[-1], np.iinfo(np.int64).max)
-    best_at = np.zeros(bounds[-1], dtype=np.int64)
-    order_dy, order_dx = _search_order(dy_lo, dy_hi, dx_lo, dx_hi)
+    best_mv = np.zeros((bounds[-1], 2), dtype=np.int64)
     every = np.arange(bounds[-1])
     # One buffer holds each batch's abs-difference stack: a whole padded
     # plane, or as many smaller ones as fit in _BATCH_BYTES.
     stack = np.empty(max(_BATCH_BYTES, ty * gh * w), dtype=np.uint8)
     rect, planes_for = (0, ty, 0, tx), None     # the live rect, in gcd tiles
     live_count = bounds[-1]                     # blocks whose best SAD is not 0
-    for first in range(0, order_dy.size, _CHUNK):
+    for dy, dx in _search_order(dy_lo, dy_hi, dx_lo, dx_hi):
         if planes_for != rect:
             planes_for = r0, r1, c0, c1 = rect
             y0, y1, x0, x1 = r0 * gh, min(r1 * gh, h), c0 * gw, min(c1 * gw, w)
@@ -302,8 +311,7 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
             diff[:, y1 - y0:] = 0
             # windows[oy, ox]: the live rect's window at box offset (oy, ox).
             windows = np.lib.stride_tricks.sliding_window_view(padded[y0:, x0:], part.shape)
-        oy = order_dy[first:first + _CHUNK] - dy_lo
-        ox = order_dx[first:first + _CHUNK] - dx_lo
+        oy, ox = dy - dy_lo, dx - dx_lo
         n = oy.size
         for k in range(0, n, batch):
             m = min(batch, n - k)
@@ -319,14 +327,14 @@ def _search_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h
         sad = sads[at, every]
         better = sad < best
         best[better] = sad[better]
-        best_at[better] = at[better] + first
+        best_mv[better] = np.stack((dx, dy), axis=-1)[at[better]]
         live = best != 0
         if np.count_nonzero(live) < live_count:     # some blocks became final
             live_count = np.count_nonzero(live)
             rect = _live_rect(live, blocks, bounds, ratios, ty, tx)
             if not live_count:
                 break
-    mvs = np.stack((order_dx[best_at], order_dy[best_at]), axis=-1) * MV_UNITS_PER_PEL
+    mvs = best_mv * MV_UNITS_PER_PEL
     return [mvs[lo:hi].reshape(ny, nx, 2)
             for (ny, nx), lo, hi in zip(blocks, bounds, bounds[1:])]
 
@@ -419,38 +427,31 @@ def correct_mvs(
     return out, count[..., 0, 0]
 
 
-def _predict_blocks(
-    src: FrameBuffer,
-    ref: FrameBuffer,
-    x: int, y: int, w: int, h: int,
-    bh: int, bw: int,
-    mvs: np.ndarray,
-    ref_field: Optional[MotionField] = None,
-    t0: int = 1, t1: int = 1, t2: int = 1,
-    delta_max: int = DEFAULT_DELTA_MAX,
-) -> FramePrediction:
+def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
+                    bh: int, bw: int, mvs: np.ndarray, ref_params: Optional[FieldParams] = None,
+                    t2: int = 1, delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
     """Predict the bh x bw blocks tiling the w x h rect at (x, y) at once.
 
     ``mvs`` is (h/4, w/4, 2) int64: each 4x4 cell's block vector. Without
-    ``ref_field`` every sub-block keeps it (uniform). With one, each
-    sub-block inherits the parameters of the cell its center lands on
-    when displaced by its block vector, extrapolates them over ``t2``
-    ticks, falls back to the block vector where they are unavailable and
-    is corrected block by block (uamm). One gather compensates every
-    sub-block; one abs-difference plane gives every block's SAD.
+    ``ref_params`` every sub-block keeps it (uniform). With them, each
+    sub-block inherits the parameters of the cell its center lands on when
+    displaced by its block vector, extrapolates them ``t2`` ticks past
+    their window, falls back to the block vector where they are
+    unavailable and is corrected block by block (uamm). One gather
+    compensates every sub-block; one abs-difference plane every SAD.
     """
-    if min(t0, t1, t2) < 1:
-        raise ValueError(f"intervals must be positive, got {(t0, t1, t2)}")
+    if t2 < 1:
+        raise ValueError(f"interval t2 must be positive, got {t2}")
     rect = BlockSpec(x, y, w, h)
     _check_block_in_frame(src, rect)
     _check_block_in_frame(ref, rect)
     if mvs.shape != (h // CELL_SIZE, w // CELL_SIZE, 2):
         raise ValueError(f"expected one vector per 4x4 cell of {w}x{h}, got {mvs.shape}")
-    if ref_field is None:
+    if ref_params is None:
         sub = mvs
         corrected = refined = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
     else:
-        v0, acc, kind = gather_params(ref_field, x, y, w, h, mvs[..., 0], mvs[..., 1])
+        v0, acc, kind, t0, t1 = gather_params(ref_params, x, y, w, h, mvs[..., 0], mvs[..., 1])
         available = kind != ParamKind.UNAVAILABLE
         ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
                                      t0, t1, t2)
@@ -463,35 +464,27 @@ def _predict_blocks(
                            corrected=corrected, refined=refined > 0)
 
 
-def predict_frame(
-    src: FrameBuffer,
-    ref: FrameBuffer,
-    field: MotionField,
-    block_size: int,
-    ref_field: Optional[MotionField] = None,
-    t0: int = 1,
-    t1: int = 1,
-    t2: int = 1,
-    delta_max: int = DEFAULT_DELTA_MAX,
-) -> FramePrediction:
+def predict_frame(src: FrameBuffer, ref: FrameBuffer, field: MotionField, block_size: int,
+                  ref_params: Optional[FieldParams] = None, t2: int = 1,
+                  delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
     """Predict every block of ``src``'s tiling in one batch.
 
     ``field`` is ``search_fields``' result for this ``src``/``ref`` pair
-    and ``block_size``: each cell holds its block's vector. Without a
-    ``ref_field`` this is ``predict_uniform`` block by block; with one it
-    is ``predict_uamm``, with one parameter gather and one extrapolation
-    over the whole cell grid and the band clamp and majority reset
-    applied block by block. A block with no usable parameters comes out
-    as its uniform prediction.
+    and ``block_size``: each cell holds its block's vector. Without
+    ``ref_params`` this is ``predict_uniform`` block by block; with the
+    reference frame's parameters it is ``predict_uamm``, with one gather
+    and one extrapolation, ``t2`` ticks past each cell's window, over the
+    whole cell grid and the band clamp and majority reset applied block
+    by block. A block with no usable parameters comes out as its uniform
+    prediction.
     """
     return _predict_blocks(src, ref, 0, 0, src.width, src.height, block_size, block_size,
-                           field.mv.astype(np.int64), ref_field, t0, t1, t2, delta_max)
+                           field.mv.astype(np.int64), ref_params, t2, delta_max)
 
 
 def _predict_block(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_range: int,
-                   initial_mv: Optional[MotionVector], ref_field: Optional[MotionField] = None,
-                   t0: int = 1, t1: int = 1, t2: int = 1,
-                   delta_max: int = DEFAULT_DELTA_MAX) -> PredictionResult:
+                   initial_mv: Optional[MotionVector], ref_params: Optional[FieldParams] = None,
+                   t2: int = 1, delta_max: int = DEFAULT_DELTA_MAX) -> PredictionResult:
     """``_predict_blocks`` on one block, every 4x4 cell carrying
     ``initial_mv`` or, if that is None, the searched vector. The mode is
     uamm if any sub-block inherited parameters, else uniform."""
@@ -500,7 +493,7 @@ def _predict_block(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_
     mvs = np.tile(np.array([mv.x, mv.y], dtype=np.int64),
                   (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
     out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h, block.h, block.w,
-                          mvs, ref_field, t0, t1, t2, delta_max)
+                          mvs, ref_params, t2, delta_max)
     return PredictionResult(
         mode=(PredictionMode.UAMM_REFINED if out.refined[0, 0]
               else PredictionMode.UNIFORM_BASELINE),
@@ -523,27 +516,18 @@ def predict_uniform(
     return _predict_block(src, ref, block, search_range, initial_mv)
 
 
-def predict_uamm(
-    src: FrameBuffer,
-    ref: FrameBuffer,
-    ref_field: MotionField,
-    block: BlockSpec,
-    search_range: int,
-    t0: int,
-    t1: int,
-    t2: int,
-    delta_max: int = DEFAULT_DELTA_MAX,
-    initial_mv: Optional[MotionVector] = None,
-) -> PredictionResult:
+def predict_uamm(src: FrameBuffer, ref: FrameBuffer, ref_params: FieldParams, block: BlockSpec,
+                 search_range: int, t2: int, delta_max: int = DEFAULT_DELTA_MAX,
+                 initial_mv: Optional[MotionVector] = None) -> PredictionResult:
     """Accelerated-model prediction with per-sub-block vectors.
 
-    ``t0`` and ``t1`` are the derivation intervals of the reference
-    field's parameters, ``t2`` the distance from the reference to the
-    current frame. Sub-blocks whose inherited parameters are unavailable
-    fall back to the block vector; if every sub-block fell back the result
-    is the uniform baseline, mode included, so a field with no usable
-    parameters degrades to the baseline exactly. A test oracle and tracer
-    hook only.
+    ``t2`` is the distance from the reference to the current frame; each
+    sub-block extrapolates over it past the derivation window of the
+    parameters it inherits. Sub-blocks whose inherited parameters are
+    unavailable fall back to the block vector; if every sub-block fell
+    back the result is the uniform baseline, mode included, so a field
+    with no usable parameters degrades to the baseline exactly. A test
+    oracle and tracer hook only.
     """
-    return _predict_block(src, ref, block, search_range, initial_mv, ref_field,
-                          t0, t1, t2, delta_max)
+    return _predict_block(src, ref, block, search_range, initial_mv, ref_params,
+                          t2, delta_max)

@@ -15,6 +15,7 @@ import numpy as np
 from uamm import (
     PARAM_SCALE,
     BlockSpec,
+    FieldParams,
     MotionField,
     MotionVector,
     ParamKind,
@@ -174,8 +175,7 @@ def test_accelerating_object_is_predicted_losslessly():
                 iy0, iy1 = max(by, oy), min(by + 16, oy + oh)
                 if ix0 >= ix1 or iy0 >= iy1:
                     continue
-                res = predict_uamm(frames[k], frames[k - 1], ref_field,
-                                   block, 12, 1, 1, 1)
+                res = predict_uamm(frames[k], frames[k - 1], ref_field, block, 12, 1)
                 base = predict_uniform(frames[k], frames[k - 1], block, 12)
                 src_obj = frames[k].luma[iy0:iy1, ix0:ix1].astype(np.int64)
                 for result, bucket in ((res, "uamm"), (base, "uni")):
@@ -205,14 +205,14 @@ def test_unavailable_field_degrades_to_the_baseline():
     from uamm import FrameBuffer
     src = FrameBuffer(poc=1, width=64, height=64, luma=luma_src)
     ref = FrameBuffer(poc=0, width=64, height=64, luma=luma_ref)
-    empty = MotionField.empty(0, 64, 64)
+    empty = FieldParams.unavailable(MotionField.empty(0, 64, 64))
     mismatches = 0
     for _ in range(100):
         size = int(rng.choice([4, 8, 16, 32]))
         bx = int(rng.integers(0, 64 - size + 1))
         by = int(rng.integers(0, 64 - size + 1))
         block = BlockSpec(bx, by, size, size)
-        a = predict_uamm(src, ref, empty, block, 4, 1, 1, 1)
+        a = predict_uamm(src, ref, empty, block, 4, 1)
         b = predict_uniform(src, ref, block, 4)
         same = (a.mode == b.mode
                 and a.initial_mv == b.initial_mv

@@ -13,6 +13,7 @@ from uamm import (
     BdRateError,
     BlockSpec,
     ExperimentConfig,
+    FieldParams,
     FrameBuffer,
     MotionField,
     MotionVector,
@@ -413,7 +414,7 @@ def _per_block_rate_point(frames, rp, modes, delta_max):
     older, newer = empty, empty
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
-        ref_field = empty
+        ref_field = FieldParams.unavailable(empty)
         if "uamm" in modes and k >= 2:
             ref_field = derive_field_params(newer, older)
 
@@ -431,8 +432,7 @@ def _per_block_rate_point(frames, rp, modes, delta_max):
                     result = predict_uniform(src, ref, block, rp.search_range,
                                              initial_mv=initial)
                 else:
-                    result = predict_uamm(src, ref, ref_field, block,
-                                          rp.search_range, t0=1, t1=1, t2=1,
+                    result = predict_uamm(src, ref, ref_field, block, rp.search_range, t2=1,
                                           delta_max=delta_max, initial_mv=initial)
                 tally = tallies[m]
                 tally.sad_total += result.sad

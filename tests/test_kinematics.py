@@ -352,6 +352,47 @@ def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
         assert list(zip(x.tolist(), y.tolist())) == expected
 
 
+@st.composite
+def _windowed_cells(draw):
+    """A grid of 1-6 x 1-6 cells, each with its own scaled parameters, small
+    enough that the extrapolated vector stays a MotionVector, and its own
+    window of 1-8 ticks, then 1-8 ticks."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v0 = rng.integers(-64 * P, 64 * P + 1, (2, rows, cols))
+    acc = rng.integers(-16 * P, 16 * P + 1, (2, rows, cols)) * (rng.random((rows, cols)) < 0.7)
+    t0, t1 = rng.integers(1, 9, (2, rows, cols))
+    return v0, acc, t0, t1
+
+
+@given(_windowed_cells(), st.integers(1, 8))
+def test_array_extrapolation_reads_each_cells_window(cells, t2):
+    """An array call with per-cell windows gives, in each cell, the scalar
+    ``extrapolate_mv`` of the cell's parameters over its own window."""
+    (v0x, v0y), (ax, ay), t0, t1 = cells
+    x, y = _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
+    for c in np.ndindex(t0.shape):
+        p = params(int(v0x[c]), int(v0y[c]), int(ax[c]), int(ay[c]))
+        want = extrapolate_mv(p, tick(int(t0[c])), tick(int(t1[c])), tick(t2))
+        assert (x[c], y[c]) == (want.x, want.y)
+
+
+def test_array_extrapolation_bound_reads_the_largest_window():
+    """One cell's window alone can push a numerator past int64. With
+    a = 2**40 and t2 = 4, windows of (1, 1) extrapolate exactly to
+    a * 32 / (2 * P); one cell at (2**30, 1) needs a numerator near
+    2**73, so the array call raises OverflowError instead of wrapping."""
+    a, t2 = 2**40, 4
+    v0, acc = np.zeros((3, 4), dtype=np.int64), np.full((3, 4), a)
+    t0, t1 = np.ones((2, 3, 4), dtype=np.int64)
+    x, y = _extrapolate_scaled(v0, v0, acc, acc, t0, t1, t2)
+    assert x.tolist() == y.tolist() == [[a * 32 // (2 * P)] * 4] * 3
+    t0[1, 2] = 2**30
+    assert not _fits_i64(2 * a * t2 * (2**30 + 1) + a * t2 * t2)
+    with pytest.raises(OverflowError):
+        _extrapolate_scaled(v0, v0, acc, acc, t0, t1, t2)
+
+
 _MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))
 
 

@@ -8,13 +8,14 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uamm import (
     MV_MAX,
     PARAM_SCALE,
     BlockSpec,
+    FieldParams,
     MotionField,
     MotionVector,
     ParamKind,
@@ -49,11 +50,19 @@ def params_at(f, cy, cx):
 # ----------------------------------------------------------------- storage
 
 def test_empty_field_is_all_unavailable():
+    """A searched field holds vectors and distances only; its parameters,
+    unavailable everywhere, hold it and an empty window."""
     f = MotionField.empty(3, 12, 8)
+    assert [p.name for p in dataclasses.fields(MotionField)] == [
+        "poc", "width", "height", "mv", "ref_distance"]
     assert f.mv.shape == (2, 3, 2)
     assert (f.ref_distance == 0).all()
-    assert all(params_at(f, cy, cx) == UammParams.unavailable()
+    params = FieldParams.unavailable(f)
+    assert params.field is f
+    assert all(params_at(params, cy, cx) == UammParams.unavailable()
                for cy in range(2) for cx in range(3))
+    assert params.t0.shape == params.t1.shape == (2, 3)
+    assert not params.t0.any() and not params.t1.any()
 
 
 # -------------------------------------------------------------- derivation
@@ -146,13 +155,13 @@ def test_derive_never_accelerated_with_zero_acceleration():
         assert not np.any(accelerated & zero_acc)
 
 
-def test_derive_leaves_input_untouched_and_copies_planes():
+def test_derive_leaves_input_untouched_and_holds_the_field():
     prev = global_field(1, 8, 8, 2, 0)
     curr = global_field(2, 8, 8, 4, 0)
     out = derive_field_params(curr, prev)
-    assert np.all(curr.kind == 0)
-    out.mv[0, 0] = (999, 999)
-    assert tuple(curr.mv[0, 0]) == (4, 0)
+    assert out.field is curr
+    assert np.all(curr.mv == (4, 0)) and np.all(curr.ref_distance == 1)
+    assert np.all(prev.mv == (2, 0)) and np.all(prev.ref_distance == 1)
 
 
 def test_derive_recovers_global_trajectory_and_extrapolates_the_chain():
@@ -206,18 +215,34 @@ def _random_field_pair(draw):
             for poc in (4, 4 + draw(st.integers(1, 3)))]
 
 
+def _mixed_distance_pair():
+    """A 24x20 px pair, poc 5 then 7, whose previous field has ref
+    distances 0, 1 and 3 in turn, so chains break or span one or three
+    ticks, and whose current vectors reach up to 3 cells either way."""
+    rng = np.random.default_rng(17)
+    prev, curr = MotionField.empty(5, 24, 20), MotionField.empty(7, 24, 20)
+    prev.ref_distance[...] = np.array([0, 1, 3])[np.arange(30).reshape(5, 6) % 3]
+    prev.mv[...] = rng.integers(-40, 41, prev.mv.shape) * (prev.ref_distance > 0)[..., None]
+    curr.mv[...] = rng.integers(-200, 201, curr.mv.shape)
+    curr.ref_distance[...] = 2
+    curr.ref_distance[0, :2] = curr.mv[0, :2] = 0
+    return [prev, curr]
+
+
 @given(_random_field_pair())
+@example(_mixed_distance_pair())
 def test_derive_field_matches_the_per_cell_solve(pair):
     """The whole-grid derivation against a per-cell reference: the cell of
     ``prev`` under the displaced, clamped cell center, then the scalar
     solver on its vector and distance or, if it has none, the linear
-    fallback, then ``UammParams.classify``."""
+    fallback, then ``UammParams.classify``; each cell's window is that
+    distance, or t1, then t1, and (0, 0) on a cell with no vector."""
     prev, curr = pair
     t1 = curr.poc - prev.poc
     out = derive_field_params(curr, prev)
     for cy in range(curr.cells_y):
         for cx in range(curr.cells_x):
-            want = UammParams.unavailable()
+            want, window = UammParams.unavailable(), (0, 0)
             if curr.ref_distance[cy, cx] > 0:
                 mvx, mvy = (int(v) for v in curr.mv[cy, cx])
                 px = 4 * cx + 2 + div_round_half_away(mvx, 16)
@@ -227,13 +252,16 @@ def test_derive_field_matches_the_per_cell_solve(pair):
                 if prev.ref_distance[sy, sx] <= 0:
                     solved = (div_round_half_away(mvx * P, t1),
                               div_round_half_away(mvy * P, t1), 0, 0)
+                    window = (t1, t1)
                 else:
                     mv0 = MotionVector(*prev.mv[sy, sx].tolist())
                     t0 = TimeInterval(int(prev.ref_distance[sy, sx]))
                     solved = _derive_scaled(mv0.x, mv0.y, mvx, mvy, t0.ticks, t1)
+                    window = (t0.ticks, t1)
                 want = UammParams.classify(*solved)
             assert (tuple(out.v0[cy, cx]), tuple(out.acc[cy, cx]), out.kind[cy, cx]) == (
                 (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
+            assert (out.t0[cy, cx], out.t1[cy, cx]) == window
 
 
 @st.composite
@@ -248,24 +276,25 @@ def _random_field_chain(draw):
 
 @given(_random_field_chain())
 def test_derive_reads_no_parameters_of_the_previous_field(chain):
-    """Deriving from a derived field equals deriving from the searched one,
-    whatever the field before it holds, so a runner may keep only the
-    field it derived last."""
+    """Deriving from the field a derivation holds equals deriving from the
+    searched one, whatever the field before it holds, so a runner may keep
+    only the parameters it derived last."""
     older, prev, curr = chain
     direct = derive_field_params(curr, prev)
-    chained = derive_field_params(curr, derive_field_params(prev, older))
-    for plane in dataclasses.fields(MotionField):
+    chained = derive_field_params(curr, derive_field_params(prev, older).field)
+    assert chained.field is direct.field is curr
+    for plane in dataclasses.fields(FieldParams)[1:]:
         a, b = getattr(chained, plane.name), getattr(direct, plane.name)
-        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), plane.name
+        assert a.dtype == b.dtype and np.array_equal(a, b), plane.name
 
 
 # ------------------------------------------------------------- inheritance
 
 def _field_with_cell_params(w, h, assign):
-    """Build a field and hand-fill parameter planes: assign(cx, cy) -> params."""
-    f = MotionField.empty(0, w, h)
-    for cy in range(f.cells_y):
-        for cx in range(f.cells_x):
+    """Parameters of an empty field, hand-filled: assign(cx, cy) -> params."""
+    f = FieldParams.unavailable(MotionField.empty(0, w, h))
+    for cy in range(f.field.cells_y):
+        for cx in range(f.field.cells_x):
             p = assign(cx, cy)
             f.v0[cy, cx] = (p.v0x, p.v0y)
             f.acc[cy, cx] = (p.ax, p.ay)
@@ -322,7 +351,7 @@ def test_inherit_rounds_the_displacement_to_pixels():
 
 
 def test_inherit_is_total_on_empty_fields():
-    f = MotionField.empty(0, 16, 16)
+    f = FieldParams.unavailable(MotionField.empty(0, 16, 16))
     grid = inherit_params(f, BlockSpec(4, 4, 8, 8), MotionVector(-300, 77))
     assert all(p.kind == ParamKind.UNAVAILABLE for row in grid for p in row)
 
@@ -335,7 +364,7 @@ def _field_naming_its_cells(w, h):
 
 def _gathered_cell(f, x, y, w, h, mvx, mvy):
     """The (cy, cx) of the cell each sub-block of the rect gathered from."""
-    v0, _, _ = gather_params(f, x, y, w, h, mvx, mvy)
+    v0 = gather_params(f, x, y, w, h, mvx, mvy)[0]
     return [[(vy - 1, vx - 1) for vx, vy in row] for row in v0.tolist()]
 
 
@@ -354,7 +383,7 @@ def test_gather_params_partial_last_cell_is_the_last_cell():
     single pixel. The center of a 4x4 rect there, (18, 14), lies past the
     frame and clamps to pixel (16, 12), which is that last cell."""
     f = _field_naming_its_cells(17, 13)
-    assert (f.cells_y, f.cells_x) == (4, 5)
+    assert f.kind.shape == (4, 5)
     assert _gathered_cell(f, 16, 12, 4, 4, 0, 0) == [[(3, 4)]]
     assert _gathered_cell(f, 12, 8, 8, 8, 0, 0) == [[(2, 3), (2, 4)], [(3, 3), (3, 4)]]
 
@@ -370,20 +399,23 @@ def test_gather_params_clamps_an_out_of_frame_center(px, py):
 
 @st.composite
 def _random_inheritance(draw):
-    """A field with random parameters, a block inside it, and vectors."""
+    """Random parameters and windows of a field, a block inside it, and
+    vectors."""
     w, h = draw(st.integers(4, 40)), draw(st.integers(4, 40))
-    f = MotionField.empty(0, w, h)
+    f = FieldParams.unavailable(MotionField.empty(0, w, h))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v0 = rng.integers(-5000, 5001, f.v0.shape)
     acc = rng.integers(-500, 501, f.acc.shape)
-    for cy in range(f.cells_y):
-        for cx in range(f.cells_x):
+    for cy in range(f.field.cells_y):
+        for cx in range(f.field.cells_x):
             p = UammParams.classify(*v0[cy, cx], *acc[cy, cx])
             if rng.random() < 0.3:
                 p = UammParams.unavailable()
             f.v0[cy, cx] = (p.v0x, p.v0y)
             f.acc[cy, cx] = (p.ax, p.ay)
             f.kind[cy, cx] = int(p.kind)
+            if p.kind != ParamKind.UNAVAILABLE:
+                f.t0[cy, cx], f.t1[cy, cx] = rng.integers(1, 9, 2)
     bw = 4 * draw(st.integers(1, w // 4))
     bh = 4 * draw(st.integers(1, h // 4))
     bx = draw(st.sampled_from([0, w - bw, draw(st.integers(0, w - bw))]))
@@ -401,14 +433,14 @@ def _random_inheritance(draw):
 @given(_random_inheritance())
 def test_inherit_matches_the_displaced_center_cell(case):
     """The array gather, with one vector for the block or one per
-    sub-block, and its scalar wrapper against the parameters of the cell
-    under each displaced, clamped sub-block center."""
+    sub-block, and its scalar wrapper against the parameters and window
+    of the cell under each displaced, clamped sub-block center."""
     f, block, mvs, planes = case
     rows, cols = block.h // 4, block.w // 4
     rect = (block.x, block.y, block.w, block.h)
 
     def expected(vectors):
-        """The looked-up params, [row][col], of (rows, cols, 2) vectors."""
+        """The looked-up cells (cy, cx), [row][col], of (rows, cols, 2) vectors."""
         grid = []
         for j in range(rows):
             grid.append([])
@@ -416,21 +448,26 @@ def test_inherit_matches_the_displaced_center_cell(case):
                 mvx, mvy = vectors[j, i].tolist()
                 px = block.x + 4 * i + 2 + div_round_half_away(mvx, 16)
                 py = block.y + 4 * j + 2 + div_round_half_away(mvy, 16)
-                grid[j].append(params_at(f, min(max(py, 0), f.height - 1) // 4,
-                                         min(max(px, 0), f.width - 1) // 4))
+                grid[j].append((min(max(py, 0), f.field.height - 1) // 4,
+                                min(max(px, 0), f.field.width - 1) // 4))
         return grid
 
-    def assert_gathered(gathered, want):
-        v0, acc, kind = gathered
-        assert v0.shape == acc.shape == (rows, cols, 2) and kind.shape == (rows, cols)
+    def assert_gathered(gathered, cells):
+        v0, acc, kind, t0, t1 = gathered
+        assert v0.shape == acc.shape == (rows, cols, 2)
+        assert kind.shape == t0.shape == t1.shape == (rows, cols)
+        want = [[params_at(f, *cell) for cell in row] for row in cells]
         assert [[((p.v0x, p.v0y), (p.ax, p.ay), int(p.kind)) for p in row]
                 for row in want] == [
             [(tuple(v), tuple(a), k) for v, a, k in zip(*row)]
             for row in zip(v0.tolist(), acc.tolist(), kind.tolist())]
+        assert [[(f.t0[cell], f.t1[cell]) for cell in row] for row in cells] == [
+            list(zip(*row)) for row in zip(t0.tolist(), t1.tolist())]
+        return want
 
     for mv in mvs:
-        want = expected(np.tile((mv.x, mv.y), (rows, cols, 1)))
-        assert_gathered(gather_params(f, *rect, mv.x, mv.y), want)
+        cells = expected(np.tile((mv.x, mv.y), (rows, cols, 1)))
+        want = assert_gathered(gather_params(f, *rect, mv.x, mv.y), cells)
         assert inherit_params(f, block, mv) == want
     assert_gathered(gather_params(f, *rect, planes[..., 0], planes[..., 1]), expected(planes))
 
@@ -463,33 +500,36 @@ def test_dump_field_csv_shape_and_values():
 
 @st.composite
 def _random_dump_field(draw):
-    """A field of 1-40 px a side with a random poc, vectors, ref distances
-    1-4 on a random share of cells and 0 on the others, and parameters of
-    every kind with either sign; cells without a vector hold unavailable
-    parameters, whatever vector their planes keep."""
+    """The parameters of a field of 1-40 px a side with a random poc,
+    vectors, ref distances 1-4 on a random share of cells and 0 on the
+    others: parameters of every kind with either sign; cells without a
+    vector hold unavailable parameters, whatever vector their planes keep."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = MotionField.empty(draw(st.integers(-5, 1000)), w, h)
+    params = FieldParams.unavailable(f)
     has_mv = rng.random(f.ref_distance.shape) < draw(st.sampled_from([0, 0.5, 1]))
     f.mv[...] = rng.integers(-MV_MAX, MV_MAX + 1, f.mv.shape)
     f.ref_distance[...] = rng.integers(1, 5, f.ref_distance.shape) * has_mv
-    v0 = rng.integers(-2**40, 2**40, f.v0.shape) * (rng.random((*f.kind.shape, 1)) < 0.7)
-    acc = rng.integers(-500, 501, f.acc.shape) * (rng.random((*f.kind.shape, 1)) < 0.5)
+    v0 = rng.integers(-2**40, 2**40, params.v0.shape) * (rng.random((*has_mv.shape, 1)) < 0.7)
+    acc = rng.integers(-500, 501, params.acc.shape) * (rng.random((*has_mv.shape, 1)) < 0.5)
     for cy in range(f.cells_y):
         for cx in range(f.cells_x):
             p = UammParams.classify(*v0[cy, cx].tolist(), *acc[cy, cx].tolist())
             if not has_mv[cy, cx]:
                 p = UammParams.unavailable()
-            f.v0[cy, cx], f.acc[cy, cx], f.kind[cy, cx] = (p.v0x, p.v0y), (p.ax, p.ay), p.kind
-    return f
+            params.v0[cy, cx], params.acc[cy, cx] = (p.v0x, p.v0y), (p.ax, p.ay)
+            params.kind[cy, cx] = p.kind
+    return params
 
 
 @given(_random_dump_field())
-def test_dump_field_csv_matches_a_per_cell_reference(f):
+def test_dump_field_csv_matches_a_per_cell_reference(params):
     """Each row against the cell's vector, distance and parameters, read
     from the planes and formatted field by field."""
+    f = params.field
     buf = io.StringIO()
-    dump_field_csv(f, buf)
+    dump_field_csv(params, buf)
     want = [["poc", "cx", "cy", "mvx", "mvy", "ref_dist", "kind", "v0x", "v0y", "ax", "ay"]]
     for cy in range(f.cells_y):
         for cx in range(f.cells_x):
@@ -497,15 +537,16 @@ def test_dump_field_csv_matches_a_per_cell_reference(f):
             if f.ref_distance[cy, cx] > 0:
                 vector = MotionVector(*f.mv[cy, cx].tolist())
                 mv = (vector.x, vector.y, TimeInterval(int(f.ref_distance[cy, cx])).ticks)
-            p = params_at(f, cy, cx)
+            p = params_at(params, cy, cx)
             want.append([str(v) for v in (f.poc, cx, cy, *mv, p.kind.name.capitalize(),
                                           p.v0x, p.v0y, p.ax, p.ay)])
     assert buf.getvalue() == "".join(",".join(row) + "\n" for row in want)
 
 
-def _csv_writer_dump(field_obj, stream):
+def _csv_writer_dump(params, stream):
     """The ``csv.writer`` body that ``dump_field_csv`` had before it
     formatted by array arithmetic: the byte oracle of the tests below."""
+    field_obj = params.field
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(motion_field._CSV_COLUMNS)
     for cy in range(field_obj.cells_y):
@@ -513,9 +554,9 @@ def _csv_writer_dump(field_obj, stream):
         dist = field_obj.ref_distance[cy].tolist()
         for cx in np.flatnonzero(field_obj.ref_distance[cy] <= 0).tolist():
             mvx[cx] = mvy[cx] = dist[cx] = ""
-        kinds = [motion_field._KIND_NAMES[k] for k in field_obj.kind[cy].tolist()]
-        v0x, v0y = field_obj.v0[cy].T.tolist()
-        ax, ay = field_obj.acc[cy].T.tolist()
+        kinds = [motion_field._KIND_NAMES[k] for k in params.kind[cy].tolist()]
+        v0x, v0y = params.v0[cy].T.tolist()
+        ax, ay = params.acc[cy].T.tolist()
         writer.writerows(zip(repeat(field_obj.poc), range(field_obj.cells_x), repeat(cy),
                              mvx, mvy, dist, kinds, v0x, v0y, ax, ay))
 
@@ -530,19 +571,20 @@ EDGE_VALUES = {
 
 
 def _edge_field(w, h, seed, edges, poc=7):
-    """A w x h px field whose planes mix the ``EDGE_VALUES[edges]`` with
-    zeros and small values: ref distances negative, zero and positive,
-    parameters of either sign, every kind."""
-    ints, params = EDGE_VALUES[edges]
+    """The parameters of a w x h px field, whose planes mix the
+    ``EDGE_VALUES[edges]`` with zeros and small values: ref distances
+    negative, zero and positive, parameters of either sign, every kind."""
+    ints, values = EDGE_VALUES[edges]
     rng = np.random.default_rng(seed)
     pick = lambda values, shape: np.array(values)[rng.integers(0, len(values), shape)]
     f = MotionField.empty(poc, w, h)
     f.mv[...] = pick(ints + [0, -5, 12], f.mv.shape)
     f.ref_distance[...] = pick(ints + [-3, -1, 0, 1, 2], f.ref_distance.shape)
-    f.v0[...] = pick(params + [0, -1, 9], f.v0.shape)
-    f.acc[...] = pick(params + [0, 1, -64], f.acc.shape)
-    f.kind[...] = rng.integers(0, len(ParamKind), f.kind.shape)
-    return f
+    params = FieldParams.unavailable(f)
+    params.v0[...] = pick(values + [0, -1, 9], params.v0.shape)
+    params.acc[...] = pick(values + [0, 1, -64], params.acc.shape)
+    params.kind[...] = rng.integers(0, len(ParamKind), params.kind.shape)
+    return params
 
 
 def _assert_dump_matches_csv_writer(f):

@@ -13,6 +13,7 @@ from uamm import (
     MV_MAX,
     PARAM_SCALE,
     BlockSpec,
+    FieldParams,
     FrameBuffer,
     MotionField,
     MotionVector,
@@ -23,6 +24,8 @@ from uamm import (
     UammParams,
     correct_mvs,
     derive_field_params,
+    derive_params,
+    extrapolate_mv,
     field_from_global_mv,
     full_search_me,
     predict_uamm,
@@ -53,9 +56,18 @@ def shifted_right(luma, pels):
     return out
 
 
+def unit_window_params(w, h):
+    """Unavailable parameters of an empty w x h field, each cell's window
+    one tick and one tick: the tests fill in the planes."""
+    f = FieldParams.unavailable(MotionField.empty(0, w, h))
+    f.t0[...] = f.t1[...] = 1
+    return f
+
+
 def linear_field(w, h, vx, vy):
-    """Every cell carries a linear model with the given scaled velocity."""
-    f = MotionField.empty(0, w, h)
+    """Parameters in which every cell carries a linear model with the
+    given scaled velocity."""
+    f = unit_window_params(w, h)
     f.v0[:, :] = (vx, vy)
     f.kind[:, :] = int(ParamKind.LINEAR if (vx, vy) != (0, 0)
                        else ParamKind.CONSTANT)
@@ -372,10 +384,13 @@ def test_search_with_final_blocks_matches_a_brute_force_search(monkeypatch, chun
         assert min(areas) < max(areas)
 
 
-def test_search_of_identical_frames_ends_after_one_chunk(monkeypatch):
+@pytest.mark.parametrize("w,h,search_range", [(96, 64, 24), (512, 512, 511)])
+def test_search_of_identical_frames_ends_after_one_chunk(monkeypatch, w, h, search_range):
     """Identical frames put every block at SAD 0 at offset (0, 0), which
-    no later offset can beat: at range 24, 2401 offsets, the search
-    builds the planes of one chunk and stops."""
+    no later offset can beat: at range 24, 2401 offsets, or 511, about a
+    million, the search builds the planes of one chunk and stops. The
+    offsets come ring by ring, so the search never holds them all: its
+    traced peak stays under 4 MiB."""
     windows, tile_sums = [], predictor._tile_sums
 
     def counting(plane, *args, **kwargs):
@@ -383,8 +398,14 @@ def test_search_of_identical_frames_ends_after_one_chunk(monkeypatch):
         return tile_sums(plane, *args, **kwargs)
 
     monkeypatch.setattr(predictor, "_tile_sums", counting)
-    luma = noise(np.random.default_rng(4), 96, 64)
-    fields = search_fields(frame(luma, poc=1), frame(luma), [16, 32], 24)
+    luma = noise(np.random.default_rng(4), w, h)
+    tracemalloc.start()
+    try:
+        fields = search_fields(frame(luma, poc=1), frame(luma), [16, 32], search_range)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
     assert sum(windows) <= predictor._CHUNK
     assert not any(f.mv.any() for f in fields)
 
@@ -538,8 +559,8 @@ def test_frame_kernels_validate_inputs():
         predict_frame(frame(wide), frame(luma), field, 8)
     with pytest.raises(ValueError, match="one vector per 4x4 cell"):
         predict_frame(frame(wide), frame(wide), field, 8)
-    with pytest.raises(ValueError, match="intervals"):
-        predict_frame(frame(luma), frame(luma), field, 8, field, t0=0)
+    with pytest.raises(ValueError, match="t2"):
+        predict_frame(frame(luma), frame(luma), field, 8, FieldParams.unavailable(field), t2=0)
 
 
 # ------------------------------------------------------------- compensation
@@ -695,7 +716,7 @@ def test_prediction_with_a_given_vector_rejects_a_block_leaving_a_frame(
     with pytest.raises(ValueError, match="leaves the 16x16 frame"):
         predict_uniform(src, ref, block, 2, initial_mv=zero)
     with pytest.raises(ValueError, match="leaves the 16x16 frame"):
-        predict_uamm(src, ref, field, block, 2, 1, 1, 1, initial_mv=zero)
+        predict_uamm(src, ref, field, block, 2, 1, initial_mv=zero)
 
 
 # -------------------------------------------------------------- uniform mode
@@ -737,9 +758,9 @@ def test_uniform_sad_is_the_reported_residual():
 def test_uamm_total_fallback_equals_uniform():
     rng = np.random.default_rng(12)
     src, ref = noise(rng, 32, 32), noise(rng, 32, 32)
-    empty = MotionField.empty(0, 32, 32)
+    empty = FieldParams.unavailable(MotionField.empty(0, 32, 32))
     block = BlockSpec(8, 8, 16, 16)
-    a = predict_uamm(frame(src), frame(ref), empty, block, 4, 1, 1, 1)
+    a = predict_uamm(frame(src), frame(ref), empty, block, 4, 1)
     b = predict_uniform(frame(src), frame(ref), block, 4)
     assert a.mode == b.mode == PredictionMode.UNIFORM_BASELINE
     assert a.initial_mv == b.initial_mv
@@ -752,8 +773,7 @@ def test_uamm_linear_field_scales_like_tmvp():
     rng = np.random.default_rng(13)
     luma = noise(rng, 32, 32)
     f = linear_field(32, 32, 16 * P, 0)  # one pel per tick
-    res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(8, 8, 8, 8),
-                       4, t0=1, t1=1, t2=2)
+    res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(8, 8, 8, 8), 4, t2=2)
     assert res.mode == PredictionMode.UAMM_REFINED
     assert res.corrected_count == 0
     # two ticks of one pel per tick: same value tmvp scaling produces
@@ -777,7 +797,7 @@ def test_uamm_recovers_the_accelerating_object():
     ref_field = derive_field_params(f2, f1)
     # 8x8 block fully inside the object footprint at frame 3
     res = predict_uamm(frames[k], frames[k - 1], ref_field,
-                       BlockSpec(16, 6, 8, 8), 12, 1, 1, 1)
+                       BlockSpec(16, 6, 8, 8), 12, 1)
     assert res.mode == PredictionMode.UAMM_REFINED
     assert np.all(res.subblock_mvs == np.array([-gt[k - 1].x, -gt[k - 1].y]))
     assert res.sad == 0
@@ -787,12 +807,11 @@ def test_uamm_recovers_the_accelerating_object():
 def test_uamm_partial_out_of_band_clamps_but_keeps_the_rest():
     rng = np.random.default_rng(14)
     luma = noise(rng, 16, 16)
-    f = MotionField.empty(0, 16, 16)
+    f = unit_window_params(16, 16)
     f.kind[:, :] = int(ParamKind.LINEAR)
     f.v0[:2] = (48 * P, 0)   # top cell rows extrapolate out of band
     f.v0[2:] = (16 * P, 0)   # bottom rows stay inside
-    res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(4, 4, 8, 8),
-                       2, 1, 1, 1)
+    res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(4, 4, 8, 8), 2, 1)
     assert res.corrected_count == 2
     assert np.all(res.subblock_mvs[0] == np.array([32, 0]))
     assert np.all(res.subblock_mvs[1] == np.array([16, 0]))
@@ -803,7 +822,7 @@ def test_uamm_majority_reset_reproduces_the_block_vector():
     luma = noise(rng, 16, 16)
     f = linear_field(16, 16, 120 * P, 0)  # hopeless extrapolation everywhere
     block = BlockSpec(4, 4, 8, 8)
-    res = predict_uamm(frame(luma), frame(luma), f, block, 2, 1, 1, 1)
+    res = predict_uamm(frame(luma), frame(luma), f, block, 2, 1)
     base = predict_uniform(frame(luma), frame(luma), block, 2)
     assert res.mode == PredictionMode.UAMM_REFINED
     assert res.corrected_count == 4
@@ -818,29 +837,46 @@ def test_uamm_majority_reset_reproduces_the_block_vector():
 ])
 def test_uamm_extrapolation_overflow_raises_instead_of_wrapping(v0, acc, kind, t2):
     luma = np.zeros((16, 16), dtype=np.uint8)
-    f = MotionField.empty(0, 16, 16)
+    f = unit_window_params(16, 16)
     f.v0[:, :] = v0
     f.acc[:, :] = acc
     f.kind[:, :] = int(kind)
     with pytest.raises(OverflowError):
         predict_uamm(frame(luma), frame(luma), f, BlockSpec(0, 0, 8, 8), 2,
-                     t0=1, t1=1, t2=t2, initial_mv=MotionVector(0, 0))
+                     t2=t2, initial_mv=MotionVector(0, 0))
 
 
 def test_uamm_rejects_bad_intervals():
     luma = np.zeros((16, 16), dtype=np.uint8)
-    f = MotionField.empty(0, 16, 16)
+    f = FieldParams.unavailable(MotionField.empty(0, 16, 16))
     with pytest.raises(ValueError):
-        predict_uamm(frame(luma), frame(luma), f, BlockSpec(0, 0, 8, 8),
-                     2, t0=0, t1=1, t2=1)
+        predict_uamm(frame(luma), frame(luma), f, BlockSpec(0, 0, 8, 8), 2, t2=0)
+
+
+def test_uamm_extrapolates_past_the_derived_window():
+    """Fields at reference distance 2, mvx 32 at poc 2 then 80 at poc 4,
+    derive parameters over the window (2, 2). Predicting two ticks on,
+    every sub-block takes ``extrapolate_mv`` over that window, (128, 0),
+    not the (80, 0) a window of one tick each would give."""
+    two = TimeInterval(2)
+    params = derive_field_params(field_from_global_mv(4, 32, 32, MotionVector(80, 0), two),
+                                 field_from_global_mv(2, 32, 32, MotionVector(32, 0), two))
+    solved = derive_params(MotionVector(32, 0), MotionVector(80, 0), two, two)
+    assert extrapolate_mv(solved, two, two, two) == MotionVector(128, 0)
+    rng = np.random.default_rng(18)
+    src, ref = frame(noise(rng, 32, 32), poc=6), frame(noise(rng, 32, 32), poc=4)
+    field = field_from_global_mv(6, 32, 32, MotionVector(0, 0), two)
+    got = predict_frame(src, ref, field, 16, params, t2=2, delta_max=10**4)
+    assert np.all(got.subblock_mvs == (128, 0))
+    assert not got.corrected.any()
 
 
 # ------------------------------------------------------------------- frames
 
 def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
     """The frame pass rebuilt from one ``predict_uniform`` (no ``ref_field``)
-    or ``predict_uamm`` (t0 = t1 = t2 = 1) call per block of the tiling,
-    each given its block's vector from ``field``."""
+    or ``predict_uamm`` (t2 = 1) call per block of the tiling, each given
+    its block's vector from ``field``."""
     h, w = src.luma.shape
     pred = np.zeros((h, w), dtype=np.uint8)
     sub = np.zeros((h // 4, w // 4, 2), dtype=np.int64)
@@ -852,7 +888,7 @@ def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
             if ref_field is None:
                 res = predict_uniform(src, ref, block, 0, initial_mv=mv)
             else:
-                res = predict_uamm(src, ref, ref_field, block, 0, 1, 1, 1,
+                res = predict_uamm(src, ref, ref_field, block, 0, 1,
                                    delta_max=delta_max, initial_mv=mv)
             pred[y:y + block.h, x:x + block.w] = res.pred_block
             sub[y // 4:(y + block.h) // 4, x // 4:(x + block.w) // 4] = res.subblock_mvs
@@ -886,17 +922,18 @@ def _block_field(w, h, block_size, mvs):
 @st.composite
 def _frame_case(draw):
     """Frames of 4-48 px a side tiled by 4-20 px blocks (edge blocks clip),
-    sub-pel block vectors of either sign, and a reference field whose
-    cells are unavailable with probability 0, 1/2 or 1 and otherwise
-    extrapolate to within 3 pel, so that some stay in the band and some
-    clamp; band widths 0, 32 and one that never clamps."""
+    sub-pel block vectors of either sign, and reference parameters whose
+    cells are unavailable with probability 0, 1/2 or 1 and otherwise,
+    over windows of 1-4 ticks each, extrapolate to within 3 pel, so that
+    some stay in the band and some clamp; band widths 0, 32 and one that
+    never clamps."""
     w, h = 4 * draw(st.integers(1, 12)), 4 * draw(st.integers(1, 12))
     block_size = draw(st.sampled_from([4, 8, 12, 16, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     src, ref = frame(noise(rng, w, h), poc=1), frame(noise(rng, w, h), poc=0)
     blocks = (-(-h // block_size), -(-w // block_size))
     field = _block_field(w, h, block_size, rng.integers(-40, 41, (*blocks, 2)).tolist())
-    ref_field = MotionField.empty(0, w, h)
+    ref_field = FieldParams.unavailable(MotionField.empty(0, w, h))
     shape = ref_field.kind.shape
     ref_field.v0[...] = rng.integers(-48, 49, (*shape, 2)) * P
     ref_field.acc[...] = rng.integers(-8, 9, (*shape, 2)) * (rng.random((*shape, 1)) < 0.5)
@@ -906,6 +943,7 @@ def _frame_case(draw):
     unavailable = rng.random(shape) < draw(st.sampled_from([0, 0.5, 1]))
     ref_field.v0[unavailable] = ref_field.acc[unavailable] = 0
     ref_field.kind[unavailable] = ParamKind.UNAVAILABLE
+    ref_field.t0[...], ref_field.t1[...] = rng.integers(1, 5, (2, *shape)) * ~unavailable
     delta_max = draw(st.sampled_from([0, 32, 10**6]))
     return src, ref, field, ref_field, block_size, delta_max
 
@@ -919,7 +957,7 @@ def test_frame_pass_matches_one_call_per_block(case):
     _assert_frame_equals(predict_frame(src, ref, field, block_size),
                          _per_block_frame(src, ref, field, block_size))
     _assert_frame_equals(
-        predict_frame(src, ref, field, block_size, ref_field, 1, 1, 1, delta_max),
+        predict_frame(src, ref, field, block_size, ref_field, 1, delta_max),
         _per_block_frame(src, ref, field, block_size, ref_field, delta_max))
 
 
@@ -949,7 +987,7 @@ def test_frame_pass_applies_the_band_rule_block_by_block():
     ref_field.kind[0:4, 4:8] = ref_field.kind[4:6, 0:2] = ParamKind.UNAVAILABLE
     ref_field.v0[ref_field.kind == ParamKind.UNAVAILABLE] = 0
 
-    got = predict_frame(src, ref, field, 16, ref_field, 1, 1, 1, delta_max=32)
+    got = predict_frame(src, ref, field, 16, ref_field, 1, delta_max=32)
     assert got.corrected.tolist() == [[8, 0, 5], [2, 0, 3]]
     assert got.refined.tolist() == [[True, False, True], [True, True, True]]
     want_x = np.minimum(target, 32)
