@@ -28,18 +28,11 @@ from .motion_field import (
     derive_field_params,
     dump_field_csv,
     field_from_global_mv,
-    inherit_params,
 )
 from .predictor import (
     BlockSpec,
     FramePrediction,
-    PredictionMode,
-    PredictionResult,
-    correct_mvs,
-    full_search_me,
     predict_frame,
-    predict_uamm,
-    predict_uniform,
     search_fields,
 )
 from .sequences import (

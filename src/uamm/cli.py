@@ -19,7 +19,7 @@ from .config import ConfigError, load_config
 from .evaluation import RdPoint, bd_rate, run_experiment
 from .motion_field import MotionField, derive_field_params, dump_field_csv
 from .predictor import search_fields
-from .sequences import synth_sequence, write_yuv
+from .sequences import write_yuv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,8 +106,7 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.spec)
     if cfg.source.trajectory is None:
         raise ConfigError("[input] kind must be synth for the synth command")
-    frames, _ = synth_sequence(cfg.source.trajectory, cfg.source.frames,
-                               cfg.source.width, cfg.source.height)
+    frames = cfg.source.load()
     write_yuv(frames, args.out)
     print(f"wrote {len(frames)} frames ({cfg.source.width}x{cfg.source.height}) "
           f"to {args.out}")

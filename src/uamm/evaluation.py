@@ -359,7 +359,7 @@ def _try_bd(curve_a: list[RdPoint], curve_b: list[RdPoint]) -> Optional[float]:
         a = sorted(curve_a, key=lambda p: p.rate)
         b = sorted(curve_b, key=lambda p: p.rate)
         return bd_rate(a, b)
-    except (BdRateError, ValueError):
+    except ValueError:      # BdRateError included
         return None
 
 

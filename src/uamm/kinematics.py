@@ -45,6 +45,14 @@ class ParamKind(IntEnum):
     ACCELERATED = 3
 
 
+def param_kind(v0x, v0y, ax, ay):
+    """The ParamKind value implied by which solved values are zero, of ints
+    or elementwise of integer arrays: any acceleration gives ACCELERATED,
+    else any velocity LINEAR, else CONSTANT."""
+    accelerated = (ax != 0) | (ay != 0)
+    return ParamKind.CONSTANT + (accelerated | (v0x != 0) | (v0y != 0)) + accelerated
+
+
 def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -118,12 +126,8 @@ class UammParams:
 
     @classmethod
     def classify(cls, v0x: int, v0y: int, ax: int, ay: int) -> "UammParams":
-        """Build params with the kind implied by which values are zero."""
-        if ax == 0 and ay == 0:
-            if v0x == 0 and v0y == 0:
-                return cls(0, 0, 0, 0, ParamKind.CONSTANT)
-            return cls(v0x, v0y, 0, 0, ParamKind.LINEAR)
-        return cls(v0x, v0y, ax, ay, ParamKind.ACCELERATED)
+        """Build params with the kind ``param_kind`` gives the values."""
+        return cls(v0x, v0y, ax, ay, ParamKind(param_kind(v0x, v0y, ax, ay)))
 
 
 def div_round_half_away(num, den):
@@ -175,7 +179,7 @@ def _max_abs(*arrays: np.ndarray) -> int:
     return max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
 
 
-def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1: int):
+def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1):
     """Solve the two-segment system for scaled (v0, a), one rounding each.
 
     Eliminating v1 from
@@ -188,18 +192,20 @@ def _derive_scaled(mv0x, mv0y, mv1x, mv1y, t0, t1: int):
     denominator, so each parameter is the exact rational solution rounded
     once rather than a rounded value fed through a second division.
 
-    The vectors and ``t0`` are ints, or integer arrays of one shape solved
-    elementwise in int64, one axis at a time; returns (v0x, v0y, ax, ay).
-    An array call first checks that T*t1*(T+t1), 2*PARAM_SCALE*(M1*T + M0*t1)
-    and PARAM_SCALE*(M0*t1*(2*T+t1) + M1*T*T) fit in int64, with M0, M1, T
-    the largest |mv0|, |mv1|, |t0|, and raises OverflowError otherwise.
+    The vectors and the window (``t0``, ``t1``) are ints, or integer
+    arrays broadcasting together, solved elementwise in int64, one axis at
+    a time; returns (v0x, v0y, ax, ay). An array call first checks that
+    T0*T1*(T0+T1), 2*PARAM_SCALE*(M1*T0 + M0*T1) and
+    PARAM_SCALE*(M0*T1*(2*T0+T1) + M1*T0*T0) fit in int64, with M0, M1,
+    T0, T1 the largest |mv0|, |mv1|, |t0|, |t1|, and raises OverflowError
+    otherwise.
     """
     array = isinstance(mv0x, np.ndarray)
     if array:
-        m0, m1, tm, s1 = _max_abs(mv0x, mv0y), _max_abs(mv1x, mv1y), _max_abs(t0), abs(t1)
+        t0, t1 = np.asarray(t0, dtype=np.int64), np.asarray(t1, dtype=np.int64)
+        m0, m1, tm, s1 = _max_abs(mv0x, mv0y), _max_abs(mv1x, mv1y), _max_abs(t0), _max_abs(t1)
         _check_i64(tm * s1 * (tm + s1), 2 * PARAM_SCALE * (m1 * tm + m0 * s1),
                    PARAM_SCALE * (m0 * s1 * (2 * tm + s1) + m1 * tm * tm))
-        t0 = np.asarray(t0, dtype=np.int64)
     den = t0 * t1 * (t0 + t1)
     def solve_axis(mv0, mv1):
         if array:
@@ -220,8 +226,7 @@ def derive_params(
 
     ``mv0`` covers the earlier ``t0`` ticks and ``mv1`` the following
     ``t1`` ticks of the same trajectory. The result is classified by which
-    solved values round to zero: both zero gives CONSTANT, zero
-    acceleration gives LINEAR, anything else ACCELERATED.
+    solved values round to zero (``param_kind``).
     """
     v0x, v0y, ax, ay = _derive_scaled(mv0.x, mv0.y, mv1.x, mv1.y, t0.ticks, t1.ticks)
     return UammParams.classify(v0x, v0y, ax, ay)

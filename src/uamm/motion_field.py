@@ -3,14 +3,14 @@
 Each reconstructed frame keeps one cell per 4x4 block holding the coded
 motion vector (fetch convention: the block at x sources its prediction
 from x + mv/16 in the reference) and the temporal distance that vector
-spans. Derived parameters and their windows live apart, in ``FieldParams``.
+spans. Derived parameters live apart, in ``FieldParams``.
 
-Parameter derivation chains two fields: for every cell of the current
-field the stored vector is followed back to the previous field, the
-vector found there supplies the earlier displacement segment, and the
-two-segment solver runs on the pair. Cells whose chain breaks degrade to
-a linear model; cells with a zero ref distance hold no vector and stay
-unavailable.
+Parameter derivation chains two fields: every cell's window ends with its
+own vector, over its own ref distance. The vector is followed back to the
+previous field, and where a vector there ends where this one starts, it
+supplies the earlier displacement segment and the two-segment solver runs
+on the pair. Cells whose chain breaks degrade to a linear model; cells
+with a zero ref distance hold no vector and stay unavailable.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .kinematics import (
     UammParams,
     _derive_scaled,
     div_round_half_away,
+    param_kind,
 )
 
 if TYPE_CHECKING:
@@ -74,15 +75,14 @@ class MotionField:
 @dataclass
 class FieldParams:
     """Parameters derived for each cell of ``field`` (held, not copied),
-    indexed [cy, cx], each solved over its window: segments of ``t0``
-    then ``t1`` ticks, both 0 where the kind is UNAVAILABLE."""
+    indexed [cy, cx], each solved over its window: ``t0`` ticks, then the
+    cell's ``field.ref_distance``, both 0 where the kind is UNAVAILABLE."""
 
     field: MotionField
     v0: np.ndarray          # (cells_y, cells_x, 2) int64, scaled
     acc: np.ndarray         # (cells_y, cells_x, 2) int64, scaled
     kind: np.ndarray        # (cells_y, cells_x) uint8 ParamKind values
     t0: np.ndarray          # (cells_y, cells_x) int64 ticks
-    t1: np.ndarray          # (cells_y, cells_x) int64 ticks
 
     @classmethod
     def unavailable(cls, field: MotionField) -> "FieldParams":
@@ -90,7 +90,7 @@ class FieldParams:
         cells = field.ref_distance.shape
         return cls(field, np.zeros((*cells, 2), dtype=np.int64),
                    np.zeros((*cells, 2), dtype=np.int64), np.zeros(cells, dtype=np.uint8),
-                   np.zeros(cells, dtype=np.int64), np.zeros(cells, dtype=np.int64))
+                   np.zeros(cells, dtype=np.int64))
 
 
 def field_from_global_mv(
@@ -118,23 +118,24 @@ def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mv
 def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:
     """The parameters of ``curr``, chaining into ``prev``; neither is written.
 
-    For each cell with a vector, the displaced position (cell pixel center
-    plus the vector rounded to integer pixels, clamped into the frame)
-    selects a cell of ``prev``; a vector there completes the two-segment
-    derivation over the window (its ref distance, t1 = ``curr.poc -
-    prev.poc``), otherwise the cell falls back to a linear model with the
-    velocity that reproduces its own vector, over (t1, t1). The whole grid
-    is solved in one array pass.
+    For each cell with a vector, over its ref distance t1, the displaced
+    position (cell pixel center plus the vector rounded to integer pixels,
+    clamped into the frame) selects a cell of ``prev``. A vector there
+    that ends where this one starts (t1 = ``curr.poc - prev.poc``)
+    completes the two-segment derivation over the window (its ref
+    distance, t1); otherwise the cell falls back to a linear model with
+    the velocity that reproduces its own vector, over (t1, t1). The whole
+    grid is solved in one array pass.
     """
     if curr.poc <= prev.poc:
         raise ValueError(f"need curr.poc > prev.poc, got {curr.poc} <= {prev.poc}")
-    t1 = curr.poc - prev.poc
 
     valid = curr.ref_distance > 0
     src = tuple(c[valid] for c in _displaced_cells(
         prev, 0, 0, curr.cells_x * CELL_SIZE, curr.cells_y * CELL_SIZE,
         curr.mv[..., 0], curr.mv[..., 1]))
-    chained = prev.ref_distance[src] > 0
+    t1 = curr.ref_distance[valid]
+    chained = (prev.ref_distance[src] > 0) & (t1 == curr.poc - prev.poc)
     mv1 = curr.mv[valid]
     # A broken chain repeats the cell's own segment (mv0 = mv1, t0 = t1): the
     # solve is then exactly zero acceleration and velocity mv1/t1, rounded once.
@@ -143,10 +144,8 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:
     solved = _derive_scaled(mv0[:, 0], mv0[:, 1], mv1[:, 0], mv1[:, 1], t0, t1)
     out = FieldParams.unavailable(curr)
     out.v0[valid, 0], out.v0[valid, 1], out.acc[valid, 0], out.acc[valid, 1] = solved
-    out.t0[valid], out.t1[valid] = t0, t1
-    out.kind[valid] = ParamKind.CONSTANT
-    out.kind[out.v0.any(axis=2)] = ParamKind.LINEAR
-    out.kind[out.acc.any(axis=2)] = ParamKind.ACCELERATED
+    out.t0[valid] = t0
+    out.kind[valid] = param_kind(*solved)
     return out
 
 
@@ -161,10 +160,11 @@ def gather_params(params: FieldParams, x: int, y: int, w: int, h: int, mvx, mvy
     supplies the sub-block's parameters. Returns ``(v0, acc, kind, t0, t1)``
     indexed [row, col] over the sub-blocks: (rows, cols, 2) int64 twice,
     (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE), then the
-    window, (rows, cols) int64 twice.
+    window, (rows, cols) int64 ``t0`` and the cells' int32 ref distances.
     """
     cells = _displaced_cells(params.field, x, y, w, h, mvx, mvy)
-    return tuple(p[cells] for p in (params.v0, params.acc, params.kind, params.t0, params.t1))
+    return tuple(p[cells] for p in (params.v0, params.acc, params.kind, params.t0,
+                                    params.field.ref_distance))
 
 
 def inherit_params(

@@ -23,21 +23,18 @@ from uamm import (
     TrajectorySpec,
     UammParams,
     cli,
-    correct_mvs,
     derive_field_params,
     derive_params,
     displacement,
     extrapolate_mv,
     field_from_global_mv,
-    full_search_me,
-    predict_uamm,
-    predict_uniform,
     synth_sequence,
     tmvp_scale,
     velocity_at,
 )
 from uamm.evaluation import RdPoint, bd_rate
 from uamm.interp import sample_block
+from uamm.predictor import correct_mvs, full_search_me, predict_uamm, predict_uniform
 
 
 def _report(name, ok, detail=""):

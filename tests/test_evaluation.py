@@ -23,8 +23,6 @@ from uamm import (
     TrajectorySpec,
     bd_rate,
     derive_field_params,
-    predict_uamm,
-    predict_uniform,
     psnr,
     run_experiment,
     search_fields,
@@ -34,6 +32,7 @@ from uamm import (
 from uamm import evaluation, predictor
 from uamm.evaluation import MODES, _ModeTally, _signed_exp_golomb_bits
 from uamm.motion_field import CELL_SIZE
+from uamm.predictor import predict_uamm, predict_uniform
 
 CURVE = [RdPoint(100.0, 30.0), RdPoint(180.0, 33.0),
          RdPoint(330.0, 36.0), RdPoint(600.0, 39.0)]

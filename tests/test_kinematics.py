@@ -396,44 +396,50 @@ def test_array_extrapolation_bound_reads_the_largest_window():
 _MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))
 
 
-@given(st.lists(st.tuples(_MV, _MV, _MV, _MV, st.one_of(_TICKS, st.integers(1, 2**40))),
-                min_size=1, max_size=12), _TICKS)
-@example([(2**55, 0, 0, 0, 1), (0, 0, 0, 0, 32)], 1)  # each row fits, the bound does not
-@example([(MV_MAX, -MV_MAX, -MV_MAX, MV_MAX, 2**20)], 8)
-def test_array_derivation_matches_the_scalar_call(rows, t1):
+@given(st.lists(st.tuples(_MV, _MV, _MV, _MV, st.one_of(_TICKS, st.integers(1, 2**40)),
+                          _TICKS), min_size=1, max_size=12))
+@example([(2**55, 0, 0, 0, 1, 1), (0, 0, 0, 0, 32, 1)])  # each row fits, the bound does not
+@example([(MV_MAX, -MV_MAX, -MV_MAX, MV_MAX, 2**20, 8)])
+@example([(2**55, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 8)])  # nor here, from the largest t1
+def test_array_derivation_matches_the_scalar_call(rows):
     """Ints and arrays both derive the exact rational solution rounded half
     away, and raise OverflowError, never wrap: an int call whenever one of
     its numerators leaves int64, an array call whenever any row's
-    numerators or the documented bound do."""
+    numerators or the documented bound do. Each row (mv0x, mv0y, mv1x,
+    mv1y, t0, t1) has its own window; rows sharing one t1 are also solved
+    with that t1 as one number."""
     expected, fits = [], True
     for row in rows:
-        nums = _solution_numerators(*row, t1)
-        t0 = row[4]
+        nums = _solution_numerators(*row)
+        t0, t1 = row[4:]
         want = tuple(_round_half_away(Fraction(n, t0 * t1 * (t0 + t1))) for n in nums)
         if _fits_i64(*nums):
-            assert _derive_scaled(*row, t1) == want
+            assert _derive_scaled(*row) == want
         else:
             with pytest.raises(OverflowError):
-                _derive_scaled(*row, t1)
+                _derive_scaled(*row)
             fits = False
         expected.append(want)
-    # The array call's documented bound, from the largest |mv0|, |mv1| and t0.
+    # The array call's documented bound, from the largest |mv0|, |mv1|, t0 and t1.
     m0 = max(abs(v) for r in rows for v in r[:2])
     m1 = max(abs(v) for r in rows for v in r[2:4])
     tm = max(r[4] for r in rows)
-    bound = max(tm * t1 * (tm + t1), 2 * P * (m1 * tm + m0 * t1),
-                P * (m0 * t1 * (2 * tm + t1) + m1 * tm * tm))
+    s1 = max(r[5] for r in rows)
+    bound = max(tm * s1 * (tm + s1), 2 * P * (m1 * tm + m0 * s1),
+                P * (m0 * s1 * (2 * tm + s1) + m1 * tm * tm))
+    shared_t1 = [rows[0][5]] if len({r[5] for r in rows}) == 1 else []
     for dtype in (np.int64, np.int32):
         if dtype == np.int32 and any(abs(v) >= 2**31 for r in rows for v in r):
             continue
-        columns = [np.array(col, dtype=dtype) for col in zip(*rows)]
-        if not fits or bound > I64_MAX:
-            with pytest.raises(OverflowError):
-                _derive_scaled(*columns, t1)
-            continue
-        solved = _derive_scaled(*columns, t1)
-        assert all(a.dtype == np.int64 for a in solved)
-        assert list(zip(*(a.tolist() for a in solved))) == expected
+        *columns, t1s = [np.array(col, dtype=dtype) for col in zip(*rows)]
+        for t1 in [t1s, *shared_t1]:
+            if not fits or bound > I64_MAX:
+                with pytest.raises(OverflowError):
+                    _derive_scaled(*columns, t1)
+                continue
+            solved = _derive_scaled(*columns, t1)
+            assert all(a.dtype == np.int64 for a in solved)
+            assert list(zip(*(a.tolist() for a in solved))) == expected
 
 
 # ---------------------------------------------------------------- overflow

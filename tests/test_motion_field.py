@@ -26,11 +26,10 @@ from uamm import (
     extrapolate_mv,
     field_from_global_mv,
     div_round_half_away,
-    inherit_params,
 )
 from uamm import motion_field
 from uamm.kinematics import _derive_scaled
-from uamm.motion_field import gather_params
+from uamm.motion_field import gather_params, inherit_params
 
 P = PARAM_SCALE
 TICK = TimeInterval(1)
@@ -47,6 +46,11 @@ def params_at(f, cy, cx):
                       ParamKind(int(f.kind[cy, cx])))
 
 
+def window_at(f, cy, cx):
+    """The window (t0, t1) of cell (cy, cx): t1 is the cell's ref distance."""
+    return int(f.t0[cy, cx]), int(f.field.ref_distance[cy, cx])
+
+
 # ----------------------------------------------------------------- storage
 
 def test_empty_field_is_all_unavailable():
@@ -61,8 +65,10 @@ def test_empty_field_is_all_unavailable():
     assert params.field is f
     assert all(params_at(params, cy, cx) == UammParams.unavailable()
                for cy in range(2) for cx in range(3))
-    assert params.t0.shape == params.t1.shape == (2, 3)
-    assert not params.t0.any() and not params.t1.any()
+    assert [p.name for p in dataclasses.fields(FieldParams)] == [
+        "field", "v0", "acc", "kind", "t0"]
+    assert params.t0.shape == (2, 3)
+    assert not params.t0.any()
 
 
 # -------------------------------------------------------------- derivation
@@ -106,12 +112,35 @@ def test_derive_requires_increasing_poc():
         derive_field_params(a, b)
 
 
-def test_derive_uses_poc_difference_as_interval():
-    # two-tick gap: same vector halves the fallback velocity
+def test_derive_uses_ref_distance_as_interval():
+    """A cell's vector is solved over its own ref distance, not the poc gap."""
     prev = MotionField.empty(1, 8, 8)
-    curr = global_field(3, 8, 8, 8, 0)
-    out = derive_field_params(curr, prev)
+    # two ticks: the same vector halves the fallback velocity
+    out = derive_field_params(global_field(3, 8, 8, 8, 0, ticks=2), prev)
     assert params_at(out, 0, 0) == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
+    # a two-tick poc gap does not, when the vector spans one tick
+    out = derive_field_params(global_field(3, 8, 8, 8, 0), prev)
+    assert params_at(out, 0, 0) == UammParams(8 * P, 0, 0, 0, ParamKind.LINEAR)
+    assert window_at(out, 0, 0) == (1, 1)
+
+
+def test_derive_breaks_the_chain_on_an_empty_previous_cell():
+    """A field at poc 4 with an 80-unit vector over 2 ticks, chained to an
+    empty field at poc 3: 40 units a tick, over the window (2, 2)."""
+    out = derive_field_params(global_field(4, 8, 8, 80, 0, ticks=2),
+                              MotionField.empty(3, 8, 8))
+    assert params_at(out, 0, 0) == UammParams(40 * P, 0, 0, 0, ParamKind.LINEAR)
+    assert window_at(out, 0, 0) == (2, 2)
+
+
+def test_derive_breaks_the_chain_where_the_segments_do_not_meet():
+    """The previous field, one tick back, has a vector at the displaced
+    cell, but the current vector spans two ticks: it starts before that
+    field, so the cell takes the linear model over (2, 2)."""
+    prev = global_field(1, 8, 8, 2, 0)
+    out = derive_field_params(global_field(2, 8, 8, 8, 0, ticks=2), prev)
+    assert params_at(out, 0, 0) == UammParams(4 * P, 0, 0, 0, ParamKind.LINEAR)
+    assert window_at(out, 0, 0) == (2, 2)
 
 
 def test_derive_follows_the_stored_vector():
@@ -235,21 +264,23 @@ def test_derive_field_matches_the_per_cell_solve(pair):
     """The whole-grid derivation against a per-cell reference: the cell of
     ``prev`` under the displaced, clamped cell center, then the scalar
     solver on its vector and distance or, if it has none, the linear
-    fallback, then ``UammParams.classify``; each cell's window is that
-    distance, or t1, then t1, and (0, 0) on a cell with no vector."""
+    fallback, then ``UammParams.classify``. Each cell's window ends with
+    its own vector over its ref distance t1: it is (that distance, t1) if
+    the segments meet in time, t1 = ``curr.poc - prev.poc``, else (t1, t1),
+    and (0, 0) on a cell with no vector."""
     prev, curr = pair
-    t1 = curr.poc - prev.poc
     out = derive_field_params(curr, prev)
     for cy in range(curr.cells_y):
         for cx in range(curr.cells_x):
             want, window = UammParams.unavailable(), (0, 0)
-            if curr.ref_distance[cy, cx] > 0:
+            t1 = int(curr.ref_distance[cy, cx])
+            if t1 > 0:
                 mvx, mvy = (int(v) for v in curr.mv[cy, cx])
                 px = 4 * cx + 2 + div_round_half_away(mvx, 16)
                 py = 4 * cy + 2 + div_round_half_away(mvy, 16)
                 sy = min(max(py, 0), prev.height - 1) // 4
                 sx = min(max(px, 0), prev.width - 1) // 4
-                if prev.ref_distance[sy, sx] <= 0:
+                if prev.ref_distance[sy, sx] <= 0 or t1 != curr.poc - prev.poc:
                     solved = (div_round_half_away(mvx * P, t1),
                               div_round_half_away(mvy * P, t1), 0, 0)
                     window = (t1, t1)
@@ -261,7 +292,7 @@ def test_derive_field_matches_the_per_cell_solve(pair):
                 want = UammParams.classify(*solved)
             assert (tuple(out.v0[cy, cx]), tuple(out.acc[cy, cx]), out.kind[cy, cx]) == (
                 (want.v0x, want.v0y), (want.ax, want.ay), int(want.kind))
-            assert (out.t0[cy, cx], out.t1[cy, cx]) == window
+            assert window_at(out, cy, cx) == window
 
 
 @st.composite
@@ -415,7 +446,7 @@ def _random_inheritance(draw):
             f.acc[cy, cx] = (p.ax, p.ay)
             f.kind[cy, cx] = int(p.kind)
             if p.kind != ParamKind.UNAVAILABLE:
-                f.t0[cy, cx], f.t1[cy, cx] = rng.integers(1, 9, 2)
+                f.t0[cy, cx], f.field.ref_distance[cy, cx] = rng.integers(1, 9, 2)
     bw = 4 * draw(st.integers(1, w // 4))
     bh = 4 * draw(st.integers(1, h // 4))
     bx = draw(st.sampled_from([0, w - bw, draw(st.integers(0, w - bw))]))
@@ -461,7 +492,7 @@ def test_inherit_matches_the_displaced_center_cell(case):
                 for row in want] == [
             [(tuple(v), tuple(a), k) for v, a, k in zip(*row)]
             for row in zip(v0.tolist(), acc.tolist(), kind.tolist())]
-        assert [[(f.t0[cell], f.t1[cell]) for cell in row] for row in cells] == [
+        assert [[window_at(f, *cell) for cell in row] for row in cells] == [
             list(zip(*row)) for row in zip(t0.tolist(), t1.tolist())]
         return want
 

@@ -18,24 +18,26 @@ from uamm import (
     MotionField,
     MotionVector,
     ParamKind,
-    PredictionMode,
     TimeInterval,
     TrajectorySpec,
     UammParams,
-    correct_mvs,
     derive_field_params,
     derive_params,
     extrapolate_mv,
     field_from_global_mv,
-    full_search_me,
-    predict_uamm,
     predict_frame,
-    predict_uniform,
     search_fields,
     synth_sequence,
 )
 from uamm import predictor
 from uamm.interp import sample_block, sample_subblocks
+from uamm.predictor import (
+    PredictionMode,
+    correct_mvs,
+    full_search_me,
+    predict_uamm,
+    predict_uniform,
+)
 
 P = PARAM_SCALE
 
@@ -60,7 +62,7 @@ def unit_window_params(w, h):
     """Unavailable parameters of an empty w x h field, each cell's window
     one tick and one tick: the tests fill in the planes."""
     f = FieldParams.unavailable(MotionField.empty(0, w, h))
-    f.t0[...] = f.t1[...] = 1
+    f.t0[...] = f.field.ref_distance[...] = 1
     return f
 
 
@@ -943,7 +945,8 @@ def _frame_case(draw):
     unavailable = rng.random(shape) < draw(st.sampled_from([0, 0.5, 1]))
     ref_field.v0[unavailable] = ref_field.acc[unavailable] = 0
     ref_field.kind[unavailable] = ParamKind.UNAVAILABLE
-    ref_field.t0[...], ref_field.t1[...] = rng.integers(1, 5, (2, *shape)) * ~unavailable
+    ref_field.t0[...], ref_field.field.ref_distance[...] = (
+        rng.integers(1, 5, (2, *shape)) * ~unavailable)
     delta_max = draw(st.sampled_from([0, 32, 10**6]))
     return src, ref, field, ref_field, block_size, delta_max
 
