@@ -14,6 +14,7 @@ Run from the repository root: python3 scripts/accel_demo.py
 import numpy as np
 
 from uamm import (
+    MV_UNITS_PER_PEL,
     MotionVector,
     TimeInterval,
     TrajectorySpec,
@@ -35,11 +36,10 @@ SPEC = TrajectorySpec(start_x=32, start_y=0, v0x=16, v0y=0, ax=32, ay=16,
 
 def footprint(k):
     """Pixel rectangle the patch covers at frame k, edges widened."""
-    pos_x = SPEC.start_x + SPEC.v0x * k + SPEC.ax * k * k // 2
-    pos_y = SPEC.start_y + SPEC.v0y * k + SPEC.ay * k * k // 2
-    x0, y0 = pos_x // 16, pos_y // 16
-    x1 = -((-(pos_x + SPEC.patch_width * 16)) // 16)
-    y1 = -((-(pos_y + SPEC.patch_height * 16)) // 16)
+    pos_x, pos_y = SPEC.position(k)
+    x0, y0 = pos_x // MV_UNITS_PER_PEL, pos_y // MV_UNITS_PER_PEL
+    x1 = -((-(pos_x + SPEC.patch_width * MV_UNITS_PER_PEL)) // MV_UNITS_PER_PEL)
+    y1 = -((-(pos_y + SPEC.patch_height * MV_UNITS_PER_PEL)) // MV_UNITS_PER_PEL)
     return x0, y0, x1, y1
 
 

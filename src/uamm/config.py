@@ -12,7 +12,9 @@ format (``KNOWN_KEYS``) is an error.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
+import typing
 
 from .evaluation import ExperimentConfig, RatePoint, SequenceSource
 from .sequences import TrajectorySpec
@@ -22,13 +24,16 @@ class ConfigError(ValueError):
     """A configuration value is missing or malformed."""
 
 
+# The [trajectory] key of each TrajectorySpec field: its name, but for
+# ``patch``.
+_TRAJECTORY_KEYS = {f.name: "patch" if f.name == "patch_kind" else f.name
+                    for f in dataclasses.fields(TrajectorySpec)}
+
 # Every section and key of the format, whatever the input kind; anything
 # else is an error rather than a silently ignored typo.
 KNOWN_KEYS = {
     "input": {"kind", "width", "height", "frames", "name", "path"},
-    "trajectory": {"start_x", "start_y", "v0x", "v0y", "ax", "ay", "patch_width",
-                   "patch_height", "patch", "patch_value", "patch_seed", "background",
-                   "background_value", "background_seed"},
+    "trajectory": set(_TRAJECTORY_KEYS.values()),
     "predict": {"block_size", "search_range", "delta_max", "modes"},
     "rate_points": {"labels", "block_sizes", "search_ranges"},
     "output": {"dir", "write_rd_curves"},
@@ -46,6 +51,10 @@ FLAG_KEYS = {
 }
 
 
+# The default of a required key, as dataclasses spell a field without one.
+_REQUIRED = dataclasses.MISSING
+
+
 def _get(parser, section, key, conv, default, where):
     if not parser.has_option(section, key):
         if default is _REQUIRED:
@@ -58,9 +67,6 @@ def _get(parser, section, key, conv, default, where):
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {conv.__name__}"
         ) from None
-
-
-_REQUIRED = object()
 
 
 def _to_bool(raw: str) -> bool:
@@ -85,28 +91,16 @@ def _build(where: str, cls, **kwargs):
 
 
 def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> TrajectorySpec:
-    """The [trajectory] section; texture seeds not given follow ``seed``."""
-    sec = "trajectory"
-    if not parser.has_section(sec):
+    """The [trajectory] section: each TrajectorySpec field from its key, with
+    the field's type and default; texture seeds not given follow ``seed``."""
+    if not parser.has_section("trajectory"):
         raise ConfigError("[trajectory] section is required for synthetic input")
-    geti = lambda key, default: _get(parser, sec, key, int, default, "for synthetic input")
-    return _build(
-        "[trajectory]", TrajectorySpec,
-        start_x=geti("start_x", _REQUIRED),
-        start_y=geti("start_y", _REQUIRED),
-        v0x=geti("v0x", 0),
-        v0y=geti("v0y", 0),
-        ax=geti("ax", 0),
-        ay=geti("ay", 0),
-        patch_width=geti("patch_width", 16),
-        patch_height=geti("patch_height", 16),
-        patch_kind=_get(parser, sec, "patch", str, "noise", ""),
-        patch_value=geti("patch_value", 200),
-        patch_seed=geti("patch_seed", seed),
-        background=_get(parser, sec, "background", str, "flat", ""),
-        background_value=geti("background_value", 128),
-        background_seed=geti("background_seed", seed + 1),
-    )
+    types = typing.get_type_hints(TrajectorySpec)
+    seeds = {"patch_seed": seed, "background_seed": seed + 1}
+    return _build("[trajectory]", TrajectorySpec, **{
+        f.name: _get(parser, "trajectory", _TRAJECTORY_KEYS[f.name], types[f.name],
+                     seeds.get(f.name, f.default), "for synthetic input")
+        for f in dataclasses.fields(TrajectorySpec)})
 
 
 def _parse_rate_points(parser: configparser.ConfigParser,

@@ -99,9 +99,9 @@ class TimeInterval:
 class UammParams:
     """Solved motion parameters, scaled by PARAM_SCALE.
 
-    kind=LINEAR forces zero acceleration, kind=CONSTANT forces zero
-    acceleration and zero velocity, kind=UNAVAILABLE is all zeros and marks
-    a block for which no parameters could be derived.
+    An available kind is the one ``param_kind`` gives the values;
+    kind=UNAVAILABLE is all zeros and marks a block for which no
+    parameters could be derived.
     """
 
     v0x: int
@@ -113,12 +113,11 @@ class UammParams:
     def __post_init__(self):
         for field in ("v0x", "v0y", "ax", "ay"):
             object.__setattr__(self, field, _as_int(getattr(self, field), field))
-        if self.kind in (ParamKind.LINEAR, ParamKind.CONSTANT, ParamKind.UNAVAILABLE):
-            if self.ax != 0 or self.ay != 0:
-                raise ValueError(f"kind={self.kind.name} requires zero acceleration")
-        if self.kind in (ParamKind.CONSTANT, ParamKind.UNAVAILABLE):
-            if self.v0x != 0 or self.v0y != 0:
-                raise ValueError(f"kind={self.kind.name} requires zero velocity")
+        implied = ParamKind(param_kind(self.v0x, self.v0y, self.ax, self.ay))
+        if self.kind != implied and not (self.kind == ParamKind.UNAVAILABLE
+                                         and implied == ParamKind.CONSTANT):
+            raise ValueError(f"kind={self.kind.name} does not fit values of "
+                             f"kind {implied.name}")
 
     @classmethod
     def unavailable(cls) -> "UammParams":

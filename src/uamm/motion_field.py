@@ -21,6 +21,7 @@ from typing import IO, TYPE_CHECKING
 import numpy as np
 
 from .kinematics import (
+    MV_UNITS_PER_PEL,
     MotionVector,
     ParamKind,
     TimeInterval,
@@ -108,9 +109,10 @@ def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mv
     cells of the pixel rect (x, y, w, h): each cell center moved by the
     vector rounded to integer pixels, clamped into the frame. The vector
     (mvx, mvy) is one pair of ints, or one pair of (rows, cols) planes."""
-    px = np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE) + div_round_half_away(mvx, 16)
+    px = (np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE)
+          + div_round_half_away(mvx, MV_UNITS_PER_PEL))
     py = (np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None]
-          + div_round_half_away(mvy, 16))
+          + div_round_half_away(mvy, MV_UNITS_PER_PEL))
     return (np.minimum(np.maximum(py, 0), field.height - 1) // CELL_SIZE,
             np.minimum(np.maximum(px, 0), field.width - 1) // CELL_SIZE)
 

@@ -1,18 +1,20 @@
 """Frame I/O and synthetic test sequences.
 
-Frames are 8-bit YUV 4:2:0. Only luma participates in prediction; chroma
-planes are carried for file round-trips.
+Frames are 8-bit YUV 4:2:0, sized by their luma plane. Only luma
+participates in prediction; chroma planes are carried for file round-trips.
 
 The synthetic generator moves a textured patch along an exact
 constant-acceleration trajectory on the 1/16-pel grid over a static
-background. Frame 0 places the patch directly; every later frame renders
-the patch footprint by resampling the previous frame with the bilinear
-motion-compensation kernel and the exact per-frame displacement. That
-makes the sequence self-consistent under motion compensation: a predictor
-that recovers the exact displacement reproduces the object region bit for
-bit, including chained sub-pel steps where the patch accumulates
-interpolation blur. For pure integer-pel trajectories the rendering is an
-exact patch copy at every frame.
+background. Every frame is the background with the patch footprint
+resampled from the picture before it, by the bilinear motion-compensation
+kernel and the exact position difference; the picture before frame 0 is
+the background with the patch pasted at the whole-pel anchor of the start.
+That makes the sequence self-consistent under motion compensation: a
+predictor that recovers the exact displacement reproduces the object
+region bit for bit, including chained sub-pel steps where the patch
+accumulates interpolation blur. For pure integer-pel trajectories the
+rendering is an exact patch copy at every frame. Synthetic frames carry no
+chroma.
 """
 
 from __future__ import annotations
@@ -31,32 +33,31 @@ _CHROMA_FILL = 128
 
 @dataclass
 class FrameBuffer:
-    """One decoded frame: planes plus display order (poc)."""
+    """One decoded frame: planes plus display order (poc). Its size is the
+    luma plane's."""
 
     poc: int
-    width: int
-    height: int
     luma: np.ndarray
     chroma_u: Optional[np.ndarray] = None
     chroma_v: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"bad frame dimensions {self.width}x{self.height}")
-        if self.luma.shape != (self.height, self.width):
-            raise ValueError(
-                f"luma shape {self.luma.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
-        if self.luma.dtype != np.uint8:
-            raise ValueError(f"luma must be uint8, got {self.luma.dtype}")
+        if self.luma.ndim != 2 or self.luma.size == 0 or self.luma.dtype != np.uint8:
+            raise ValueError(f"luma must be a non-empty 2-D uint8 plane, got "
+                             f"{self.luma.dtype} of shape {self.luma.shape}")
         for name, plane in (("chroma_u", self.chroma_u), ("chroma_v", self.chroma_v)):
-            if plane is None:
-                continue
-            if plane.shape != (self.height // 2, self.width // 2):
-                raise ValueError(f"{name} shape {plane.shape} is not 4:2:0")
-            if plane.dtype != np.uint8:
-                raise ValueError(f"{name} must be uint8, got {plane.dtype}")
+            if plane is not None and (plane.dtype != np.uint8 or
+                                      plane.shape != (self.height // 2, self.width // 2)):
+                raise ValueError(f"{name} must be a 4:2:0 uint8 plane, got "
+                                 f"{plane.dtype} of shape {plane.shape}")
+
+    @property
+    def height(self) -> int:
+        return self.luma.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.luma.shape[1]
 
 
 def read_yuv(path: str, width: int, height: int, count: int) -> list[FrameBuffer]:
@@ -73,18 +74,12 @@ def read_yuv(path: str, width: int, height: int, count: int) -> list[FrameBuffer
             f"{path}: expected at least {needed} bytes for {count} frames "
             f"of {width}x{height}, found {actual}"
         )
-    data = np.fromfile(path, dtype=np.uint8, count=needed)
-    frames = []
+    data = np.fromfile(path, dtype=np.uint8, count=needed).reshape(count, frame_size)
     cw, ch = width // 2, height // 2
-    for k in range(count):
-        base = k * frame_size
-        luma = data[base:base + width * height].reshape(height, width).copy()
-        u0 = base + width * height
-        u = data[u0:u0 + cw * ch].reshape(ch, cw).copy()
-        v = data[u0 + cw * ch:u0 + 2 * cw * ch].reshape(ch, cw).copy()
-        frames.append(FrameBuffer(poc=k, width=width, height=height,
-                                  luma=luma, chroma_u=u, chroma_v=v))
-    return frames
+    u0, v0 = width * height, width * height + cw * ch
+    return [FrameBuffer(poc=k, luma=f[:u0].reshape(height, width),
+                        chroma_u=f[u0:v0].reshape(ch, cw), chroma_v=f[v0:].reshape(ch, cw))
+            for k, f in enumerate(data)]
 
 
 def write_yuv(frames: list[FrameBuffer], path: str) -> None:
@@ -207,40 +202,19 @@ def synth_sequence(
     """
     positions = trajectory_positions(spec, n_frames, width, height)
     background = _make_background(spec, width, height)
-    patch = _make_patch(spec)
-    ch, cw = height // 2, width // 2
+    w, h = spec.patch_width, spec.patch_height
+    ix, iy, _, _ = _footprint(positions[0], w, h)
+    picture = background.copy()
+    picture[iy:iy + h, ix:ix + w] = _make_patch(spec)
+    anchor = (ix * MV_UNITS_PER_PEL, iy * MV_UNITS_PER_PEL)
 
-    def with_chroma(luma: np.ndarray, poc: int) -> FrameBuffer:
-        return FrameBuffer(
-            poc=poc, width=width, height=height, luma=luma,
-            chroma_u=np.full((ch, cw), _CHROMA_FILL, dtype=np.uint8),
-            chroma_v=np.full((ch, cw), _CHROMA_FILL, dtype=np.uint8),
-        )
-
-    # Frame 0: paste the patch at the integer anchor, then resolve any
-    # sub-pel fraction by sampling that sharp canvas with the MC kernel.
-    x0, y0 = positions[0]
-    ix, iy = x0 // 16, y0 // 16
-    fx, fy = x0 % 16, y0 % 16
-    canvas = background.copy()
-    canvas[iy:iy + spec.patch_height, ix:ix + spec.patch_width] = patch
-    if fx or fy:
-        rx, ry, rw, rh = _footprint(positions[0], spec.patch_width, spec.patch_height)
-        luma = background.copy()
-        luma[ry:ry + rh, rx:rx + rw] = sample_block(canvas, rx, ry, rw, rh, (-fx, -fy))
-    else:
-        luma = canvas
-    frames = [with_chroma(luma, 0)]
-
-    mvs: list[MotionVector] = []
-    for k in range(1, n_frames):
-        dx = positions[k][0] - positions[k - 1][0]
-        dy = positions[k][1] - positions[k - 1][1]
-        mvs.append(MotionVector(dx, dy))
-        rx, ry, rw, rh = _footprint(positions[k], spec.patch_width, spec.patch_height)
+    frames = []
+    for k, (before, pos) in enumerate(zip([anchor] + positions, positions)):
+        rx, ry, rw, rh = _footprint(pos, w, h)
         luma = background.copy()
         luma[ry:ry + rh, rx:rx + rw] = sample_block(
-            frames[k - 1].luma, rx, ry, rw, rh, (-dx, -dy)
-        )
-        frames.append(with_chroma(luma, k))
+            picture, rx, ry, rw, rh, (before[0] - pos[0], before[1] - pos[1]))
+        frames.append(FrameBuffer(poc=k, luma=luma))
+        picture = luma
+    mvs = [MotionVector(b[0] - a[0], b[1] - a[1]) for a, b in zip(positions, positions[1:])]
     return frames, mvs

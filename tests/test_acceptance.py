@@ -200,8 +200,8 @@ def test_unavailable_field_degrades_to_the_baseline():
     luma_src = rng.integers(0, 256, (64, 64), dtype=np.uint8)
     luma_ref = rng.integers(0, 256, (64, 64), dtype=np.uint8)
     from uamm import FrameBuffer
-    src = FrameBuffer(poc=1, width=64, height=64, luma=luma_src)
-    ref = FrameBuffer(poc=0, width=64, height=64, luma=luma_ref)
+    src = FrameBuffer(poc=1, luma=luma_src)
+    ref = FrameBuffer(poc=0, luma=luma_ref)
     empty = FieldParams.unavailable(MotionField.empty(0, 64, 64))
     mismatches = 0
     for _ in range(100):
@@ -240,8 +240,8 @@ def test_full_search_matches_brute_force():
     for trial in range(400):
         luma_src = rng.integers(0, 256, (height, width), dtype=np.uint8)
         luma_ref = rng.integers(0, 256, (height, width), dtype=np.uint8)
-        src = FrameBuffer(poc=1, width=width, height=height, luma=luma_src.copy())
-        ref = FrameBuffer(poc=0, width=width, height=height, luma=luma_ref.copy())
+        src = FrameBuffer(poc=1, luma=luma_src.copy())
+        ref = FrameBuffer(poc=0, luma=luma_ref.copy())
         w = 4 * int(rng.integers(1, 17))
         h = 4 * int(rng.integers(1, 17))
         bx = (0, width - w, int(rng.integers(0, width - w + 1)))[rng.integers(3)]

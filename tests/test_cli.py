@@ -15,6 +15,7 @@ import pytest
 
 from uamm import (
     RatePoint,
+    TrajectorySpec,
     bd_rate,
     cli,
     read_yuv,
@@ -93,6 +94,14 @@ def test_load_minimal_synthetic_config(tmp_path):
     assert cfg.output_dir == "out"
     assert (cfg.source.trajectory.patch_seed,
             cfg.source.trajectory.background_seed) == (0, 1)
+
+
+def test_trajectory_defaults_are_the_specs_own(tmp_path):
+    # Only start_x/start_y given: every other field is TrajectorySpec's
+    # default, and the two texture seeds follow [run] seed.
+    cfg = load_config(write_ini(tmp_path, MINIMAL + "\n[run]\nseed = 5\n"))
+    assert cfg.source.trajectory == TrajectorySpec(16, 16, patch_seed=5,
+                                                   background_seed=6)
 
 
 def test_load_full_config(tmp_path):
@@ -509,6 +518,40 @@ def test_synth_round_trips_through_yuv(tmp_path):
     frames, _ = synth_sequence(run_cfg.source.trajectory, 4, 32, 32)
     for got, want in zip(loaded, frames):
         assert np.array_equal(got.luma, want.luma)
+
+
+# sha256 of the clip `uamm synth` writes: the shipped preset, and a sub-pel
+# start with sub-pel motion on a noise background, which no preset covers.
+SUBPEL_SPEC = """\
+[input]
+kind = synth
+width = 32
+height = 32
+frames = 6
+
+[trajectory]
+start_x = 40
+start_y = 24
+v0x = 5
+v0y = -3
+ax = 2
+ay = 4
+background = noise
+
+[run]
+seed = 7
+"""
+
+
+@pytest.mark.parametrize("text, digest", [
+    ((PRESETS / "accel_sweep.ini").read_text(),
+     "f21c676f46f7dea3b04cf2943e3eff0341ddf2b03e5ac128edccc63161aabd7a"),
+    (SUBPEL_SPEC, "9f2add92ce2fb3dbdf46fea8971ef69dec686039f2c410b8df2bf35e75b336e0"),
+])
+def test_synth_reproduces_its_frozen_digest(tmp_path, text, digest):
+    out = tmp_path / "clip.yuv"
+    assert cli.main(["synth", "--spec", write_ini(tmp_path, text), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_synth_rejects_yuv_input_kind(tmp_path, capsys):

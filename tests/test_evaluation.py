@@ -467,7 +467,7 @@ def _two_layer_clip(w, h, n, seed, levels, back_motion, front_motion, rect):
                        for t, (vx, vy, ax, ay) in zip(textures, (back_motion, front_motion)))
         back[y0:y1, x0:x1] = front[y0:y1, x0:x1]
         back[rng.random((h, w)) < 0.05] = 7
-        frames.append(FrameBuffer(poc=k, width=w, height=h, luma=back))
+        frames.append(FrameBuffer(poc=k, luma=back))
     return frames
 
 

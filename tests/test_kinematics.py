@@ -133,6 +133,12 @@ def test_params_kind_invariants():
         UammParams(1, 0, 0, 0, ParamKind.CONSTANT)
     with pytest.raises(ValueError):
         UammParams(1, 2, 3, 4, ParamKind.UNAVAILABLE)
+    # a kind the values do not imply is rejected the other way round too
+    for values, kind in (((0, 0, 0, 0), ParamKind.ACCELERATED),
+                         ((0, 0, 0, 0), ParamKind.LINEAR),
+                         ((1, 0, 0, 0), ParamKind.ACCELERATED)):
+        with pytest.raises(ValueError):
+            UammParams(*values, kind)
     # and the valid shapes construct fine
     UammParams(5, 5, 0, 0, ParamKind.LINEAR)
     UammParams(0, 0, 0, 0, ParamKind.CONSTANT)

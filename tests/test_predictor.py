@@ -43,8 +43,7 @@ P = PARAM_SCALE
 
 
 def frame(luma, poc=0):
-    h, w = luma.shape
-    return FrameBuffer(poc=poc, width=w, height=h, luma=luma)
+    return FrameBuffer(poc=poc, luma=luma)
 
 
 def noise(rng, w, h):

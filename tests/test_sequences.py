@@ -17,7 +17,7 @@ from uamm import (
 
 def random_frame(rng, poc, w, h):
     return FrameBuffer(
-        poc=poc, width=w, height=h,
+        poc=poc,
         luma=rng.integers(0, 256, (h, w), dtype=np.uint8),
         chroma_u=rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
         chroma_v=rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
@@ -27,17 +27,17 @@ def random_frame(rng, poc, w, h):
 # ------------------------------------------------------------ frame buffer
 
 def test_frame_buffer_validates_planes():
-    ok = np.zeros((8, 8), dtype=np.uint8)
-    FrameBuffer(poc=0, width=8, height=8, luma=ok)
+    ok = np.zeros((8, 6), dtype=np.uint8)
+    frame = FrameBuffer(poc=0, luma=ok)
+    assert (frame.width, frame.height) == (6, 8)
     with pytest.raises(ValueError):
-        FrameBuffer(poc=0, width=8, height=8, luma=np.zeros((8, 9), np.uint8))
+        FrameBuffer(poc=0, luma=np.zeros((8, 6, 1), np.uint8))
     with pytest.raises(ValueError):
-        FrameBuffer(poc=0, width=8, height=8, luma=ok.astype(np.int16))
+        FrameBuffer(poc=0, luma=np.zeros((0, 6), np.uint8))
     with pytest.raises(ValueError):
-        FrameBuffer(poc=0, width=8, height=8, luma=ok,
-                    chroma_u=np.zeros((8, 8), np.uint8))
+        FrameBuffer(poc=0, luma=ok.astype(np.int16))
     with pytest.raises(ValueError):
-        FrameBuffer(poc=0, width=0, height=8, luma=ok)
+        FrameBuffer(poc=0, luma=ok, chroma_u=np.zeros((8, 6), np.uint8))
 
 
 # ------------------------------------------------------------------- file IO
@@ -90,8 +90,7 @@ def test_write_read_round_trip_is_bit_exact(tmp_path):
 
 
 def test_write_yuv_fills_missing_chroma(tmp_path):
-    frame = FrameBuffer(poc=0, width=8, height=8,
-                        luma=np.zeros((8, 8), np.uint8))
+    frame = FrameBuffer(poc=0, luma=np.zeros((8, 8), np.uint8))
     path = tmp_path / "grey.yuv"
     write_yuv([frame], str(path))
     back = read_yuv(str(path), 8, 8, 1)
