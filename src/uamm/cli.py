@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .config import ConfigError, load_config
+from .config import FLAG_KEYS, ConfigError, load_config
 from .evaluation import RdPoint, bd_rate, run_experiment
 from .motion_field import MotionField, derive_field_params, dump_field_csv
 from .predictor import search_fields
@@ -29,16 +29,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    predict = sub.add_parser("predict", help="run prediction and write report CSVs")
+    predict = sub.add_parser(
+        "predict", help="run prediction and write report CSVs",
+        epilog="Each flag value is parsed as the file's value would be. "
+               "--block-size and --search-range also drop [rate_points].")
     predict.add_argument("--config", required=True, help="experiment config file")
-    predict.add_argument("--out", help="replaces [output] dir")
-    predict.add_argument("--frames", type=int, help="replaces [input] frames")
-    predict.add_argument("--block-size", type=int,
-                         help="replaces [predict] block_size, drops [rate_points]")
-    predict.add_argument("--search-range", type=int,
-                         help="replaces [predict] search_range, drops [rate_points]")
-    predict.add_argument("--modes", help="replaces [predict] modes, comma separated")
-    predict.add_argument("--seed", type=int, help="replaces [run] seed")
+    for name, (section, key) in FLAG_KEYS.items():
+        predict.add_argument("--" + name.replace("_", "-"), help=f"replaces [{section}] {key}")
 
     demo = sub.add_parser("demo-field", help="dump derived motion fields as CSV")
     demo.add_argument("--config", required=True, help="experiment config file")
@@ -56,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config, out=args.out, frames=args.frames,
-                      block_size=args.block_size, search_range=args.search_range,
-                      modes=args.modes, seed=args.seed)
+    cfg = load_config(args.config, **{name: getattr(args, name) for name in FLAG_KEYS})
     report = run_experiment(cfg)
     for row in report.rows:
         print(f"{row.sequence} rp={row.rate_point} {row.mode}: "
@@ -92,7 +87,11 @@ def _read_curve(path: str) -> list[RdPoint]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"rate", "psnr"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected a CSV with rate,psnr columns")
-        points = [RdPoint(float(row["rate"]), float(row["psnr"])) for row in reader]
+        try:
+            points = [RdPoint(float(row["rate"]), float(row["psnr"])) for row in reader]
+        except (TypeError, ValueError):     # a short row reads None
+            raise ValueError(f"{path}, line {reader.line_num}: missing or unparsable "
+                             "rate,psnr value") from None
     return sorted(points, key=lambda p: p.rate)
 
 

@@ -290,8 +290,7 @@ def _run_rate_points(
             mv_bits = _mv_bits(field_k, rp.block_size)
             for m, tally in tallies[i].items():
                 frame = predict_frame(src, ref, field_k, rp.block_size,
-                                      derived[i] if m == "uamm" else None,
-                                      t2=1, delta_max=delta_max)
+                                      derived[i] if m == "uamm" else None, delta_max)
                 sads = frame.sads.ravel().tolist()
                 tally.sad_total += sum(sads)
                 tally.blocks += len(sads)

@@ -231,7 +231,7 @@ def derive_params(
     return UammParams.classify(v0x, v0y, ax, ay)
 
 
-def _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2: int):
+def _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2):
     """Raw extrapolated displacement over t2 ticks past the t0+t1 segments.
 
     Per axis: v0*t2 + a*t2*(t0+t1) + a*t2*t2/2, i.e. the displacement of
@@ -239,19 +239,20 @@ def _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2: int):
     numerator doubled so the halving stays exact and rounded once. No
     motion vector range check is applied here.
 
-    The parameters and the window (t0, t1) are ints, or integer arrays
-    broadcasting together, extrapolated elementwise into int64 by the same
-    code. An int call checks each numerator; an array call checks once,
-    before any array arithmetic, that the tick coefficient of its largest
-    window and the numerator bound from its largest |v0| and |a| fit in
-    int64. Either raises OverflowError, so numpy never wraps.
+    The parameters and the distances (t0, t1, t2) are ints, or integer
+    arrays broadcasting together, extrapolated elementwise into int64 by
+    the same code. An int call checks each numerator; an array call checks
+    once, before any array arithmetic, that the tick coefficient of its
+    largest distances and the numerator bound from its largest |v0| and
+    |a| fit in int64. Either raises OverflowError, so numpy never wraps.
     """
     array = isinstance(v0x, np.ndarray)
     if array:
-        v0x, v0y, ax, ay, t0, t1 = (np.asarray(a, dtype=np.int64)
-                                    for a in (v0x, v0y, ax, ay, t0, t1))
-        coeff = abs(t2) * (2 * (_max_abs(t0) + _max_abs(t1)) + abs(t2))
-        _check_i64(coeff, 2 * abs(t2) * _max_abs(v0x, v0y) + coeff * _max_abs(ax, ay))
+        v0x, v0y, ax, ay, t0, t1, t2 = (np.asarray(a, dtype=np.int64)
+                                        for a in (v0x, v0y, ax, ay, t0, t1, t2))
+        m2 = _max_abs(t2)
+        coeff = m2 * (2 * (_max_abs(t0) + _max_abs(t1)) + m2)
+        _check_i64(coeff, 2 * m2 * _max_abs(v0x, v0y) + coeff * _max_abs(ax, ay))
     # Doubled numerator 2*v0*t2 + 2*a*t2*(t0+t1) + a*t2*t2, grouped per parameter.
     cv = 2 * t2
     ca = t2 * (2 * (t0 + t1) + t2)

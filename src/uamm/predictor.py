@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -53,11 +52,6 @@ from .sequences import FrameBuffer
 DEFAULT_DELTA_MAX = 32  # 1/16-pel units: sub-block vectors stay within 2 pel
 
 
-class PredictionMode(Enum):
-    UNIFORM_BASELINE = "uniform"
-    UAMM_REFINED = "uamm"
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     """A pixel-aligned block; sides must be positive multiples of 4."""
@@ -72,18 +66,6 @@ class BlockSpec:
             raise ValueError(f"block origin ({self.x}, {self.y}) must be non-negative")
         if self.w < 4 or self.h < 4 or self.w % 4 or self.h % 4:
             raise ValueError(f"block size {self.w}x{self.h} must be multiples of 4")
-
-
-@dataclass
-class PredictionResult:
-    """Everything one block prediction produced."""
-
-    mode: PredictionMode
-    initial_mv: MotionVector
-    subblock_mvs: np.ndarray  # (rows, cols, 2) int64, 1/16-pel units
-    pred_block: np.ndarray    # (h, w) uint8
-    sad: int
-    corrected_count: int
 
 
 @dataclass
@@ -429,7 +411,7 @@ def correct_mvs(
 
 def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
                     bh: int, bw: int, mvs: np.ndarray, ref_params: Optional[FieldParams] = None,
-                    t2: int = 1, delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
+                    t2=1, delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
     """Predict the bh x bw blocks tiling the w x h rect at (x, y) at once.
 
     ``mvs`` is (h/4, w/4, 2) int64: each 4x4 cell's block vector. Without
@@ -437,11 +419,10 @@ def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, 
     sub-block inherits the parameters of the cell its center lands on when
     displaced by its block vector, extrapolates them ``t2`` ticks past
     their window, falls back to the block vector where they are
-    unavailable and is corrected block by block (uamm). One gather
-    compensates every sub-block; one abs-difference plane every SAD.
+    unavailable and is corrected block by block (uamm). ``t2`` is an int,
+    or an (h/4, w/4) plane of each cell's own distance, at least 1. One
+    gather compensates every sub-block; one abs-difference plane every SAD.
     """
-    if t2 < 1:
-        raise ValueError(f"interval t2 must be positive, got {t2}")
     rect = BlockSpec(x, y, w, h)
     _check_block_in_frame(src, rect)
     _check_block_in_frame(ref, rect)
@@ -451,6 +432,8 @@ def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, 
         sub = mvs
         corrected = refined = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
     else:
+        if np.min(t2) < 1:
+            raise ValueError(f"interval t2 must be positive, got {np.min(t2)}")
         v0, acc, kind, t0, t1 = gather_params(ref_params, x, y, w, h, mvs[..., 0], mvs[..., 1])
         available = kind != ParamKind.UNAVAILABLE
         ex, ey = _extrapolate_scaled(v0[..., 0], v0[..., 1], acc[..., 0], acc[..., 1],
@@ -465,69 +448,46 @@ def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, 
 
 
 def predict_frame(src: FrameBuffer, ref: FrameBuffer, field: MotionField, block_size: int,
-                  ref_params: Optional[FieldParams] = None, t2: int = 1,
+                  ref_params: Optional[FieldParams] = None,
                   delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
     """Predict every block of ``src``'s tiling in one batch.
 
     ``field`` is ``search_fields``' result for this ``src``/``ref`` pair
-    and ``block_size``: each cell holds its block's vector. Without
-    ``ref_params`` this is ``predict_uniform`` block by block; with the
-    reference frame's parameters it is ``predict_uamm``, with one gather
-    and one extrapolation, ``t2`` ticks past each cell's window, over the
-    whole cell grid and the band clamp and majority reset applied block
+    and ``block_size``: each cell holds its block's vector and the ticks
+    it spans back to ``ref``. Without ``ref_params`` this is
+    ``predict_uniform`` block by block; with the reference frame's
+    parameters it is ``predict_uamm``, with one gather and one
+    extrapolation over the whole cell grid, each cell over its own ref
+    distance past its window, and the band clamp and majority reset block
     by block. A block with no usable parameters comes out as its uniform
     prediction.
     """
     return _predict_blocks(src, ref, 0, 0, src.width, src.height, block_size, block_size,
-                           field.mv.astype(np.int64), ref_params, t2, delta_max)
+                           field.mv.astype(np.int64), ref_params, field.ref_distance, delta_max)
 
 
-def _predict_block(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_range: int,
-                   initial_mv: Optional[MotionVector], ref_params: Optional[FieldParams] = None,
-                   t2: int = 1, delta_max: int = DEFAULT_DELTA_MAX) -> PredictionResult:
-    """``_predict_blocks`` on one block, every 4x4 cell carrying
-    ``initial_mv`` or, if that is None, the searched vector. The mode is
-    uamm if any sub-block inherited parameters, else uniform."""
+def predict_uniform(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_range: int,
+                    initial_mv: Optional[MotionVector] = None) -> FramePrediction:
+    """Single-vector baseline: ``predict_uamm`` with no parameters (test
+    oracle, tracer hook)."""
+    return predict_uamm(src, ref, None, block, search_range, 1, initial_mv=initial_mv)
+
+
+def predict_uamm(src: FrameBuffer, ref: FrameBuffer, ref_params: Optional[FieldParams],
+                 block: BlockSpec, search_range: int, t2: int,
+                 delta_max: int = DEFAULT_DELTA_MAX,
+                 initial_mv: Optional[MotionVector] = None) -> FramePrediction:
+    """Accelerated-model prediction of one block: ``_predict_blocks`` over
+    its rect, every 4x4 cell carrying ``initial_mv`` or, if that is None,
+    the ``full_search_me`` vector, each sub-block extrapolated ``t2``
+    ticks past the window of the parameters it inherits. Where every
+    sub-block falls back to the block vector, ``refined[0, 0]`` is False
+    and the result is the uniform baseline exactly. A test oracle and
+    tracer hook only.
+    """
     mv = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
     mvs = np.tile(np.array([mv.x, mv.y], dtype=np.int64),
                   (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
-    out = _predict_blocks(src, ref, block.x, block.y, block.w, block.h, block.h, block.w,
-                          mvs, ref_params, t2, delta_max)
-    return PredictionResult(
-        mode=(PredictionMode.UAMM_REFINED if out.refined[0, 0]
-              else PredictionMode.UNIFORM_BASELINE),
-        initial_mv=mv,
-        subblock_mvs=out.subblock_mvs,
-        pred_block=out.pred,
-        sad=int(out.sads[0, 0]),
-        corrected_count=int(out.corrected[0, 0]),
-    )
-
-
-def predict_uniform(
-    src: FrameBuffer,
-    ref: FrameBuffer,
-    block: BlockSpec,
-    search_range: int,
-    initial_mv: Optional[MotionVector] = None,
-) -> PredictionResult:
-    """Single-vector baseline: search, compensate, report (test oracle, tracer hook)."""
-    return _predict_block(src, ref, block, search_range, initial_mv)
-
-
-def predict_uamm(src: FrameBuffer, ref: FrameBuffer, ref_params: FieldParams, block: BlockSpec,
-                 search_range: int, t2: int, delta_max: int = DEFAULT_DELTA_MAX,
-                 initial_mv: Optional[MotionVector] = None) -> PredictionResult:
-    """Accelerated-model prediction with per-sub-block vectors.
-
-    ``t2`` is the distance from the reference to the current frame; each
-    sub-block extrapolates over it past the derivation window of the
-    parameters it inherits. Sub-blocks whose inherited parameters are
-    unavailable fall back to the block vector; if every sub-block fell
-    back the result is the uniform baseline, mode included, so a field
-    with no usable parameters degrades to the baseline exactly. A test
-    oracle and tracer hook only.
-    """
-    return _predict_block(src, ref, block, search_range, initial_mv, ref_params,
-                          t2, delta_max)
+    return _predict_blocks(src, ref, block.x, block.y, block.w, block.h, block.h, block.w,
+                           mvs, ref_params, t2, delta_max)

@@ -176,8 +176,7 @@ def test_accelerating_object_is_predicted_losslessly():
                 base = predict_uniform(frames[k], frames[k - 1], block, 12)
                 src_obj = frames[k].luma[iy0:iy1, ix0:ix1].astype(np.int64)
                 for result, bucket in ((res, "uamm"), (base, "uni")):
-                    pred_obj = result.pred_block[iy0 - by:iy1 - by,
-                                                 ix0 - bx:ix1 - bx]
+                    pred_obj = result.pred[iy0 - by:iy1 - by, ix0 - bx:ix1 - bx]
                     sad = int(np.abs(src_obj - pred_obj.astype(np.int64)).sum())
                     if bucket == "uamm":
                         sad_uamm += sad
@@ -211,12 +210,11 @@ def test_unavailable_field_degrades_to_the_baseline():
         block = BlockSpec(bx, by, size, size)
         a = predict_uamm(src, ref, empty, block, 4, 1)
         b = predict_uniform(src, ref, block, 4)
-        same = (a.mode == b.mode
-                and a.initial_mv == b.initial_mv
+        same = (a.refined.tolist() == b.refined.tolist() == [[False]]
                 and np.array_equal(a.subblock_mvs, b.subblock_mvs)
-                and np.array_equal(a.pred_block, b.pred_block)
-                and a.sad == b.sad
-                and a.corrected_count == b.corrected_count)
+                and np.array_equal(a.pred, b.pred)
+                and a.sads.tolist() == b.sads.tolist()
+                and a.corrected.tolist() == b.corrected.tolist())
         mismatches += not same
     _report(
         "empty field degrades to the uniform baseline (100 random blocks)",

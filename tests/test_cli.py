@@ -135,6 +135,18 @@ def test_readme_config_example_loads(tmp_path):
     assert [rp.label for rp in cfg.rate_points] == ["22", "27", "32", "37"]
 
 
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(example, scope)
+    config, report = scope["config"], scope["report"]
+    assert config.output_dir is None
+    assert [row.mode for row in report.rows] == list(config.modes)
+    assert not os.listdir(tmp_path)
+
+
 def test_known_keys_load_whatever_the_input_kind(tmp_path):
     yuv = "[input]\nkind = yuv\npath = clip.yuv\nwidth = 32\nheight = 32\nframes = 3\n"
     assert load_config(write_ini(tmp_path, yuv + "\n[trajectory]\nstart_x = 0\n"))
@@ -297,6 +309,7 @@ FAST = MINIMAL.replace("start_y = 16", "start_y = 16\nv0x = 64")
     pytest.param(MINIMAL + "ax = 3\n", [], id="odd_acceleration-file"),
     pytest.param(FAST.replace("frames = 4", "frames = 6"), [], id="patch_leaves-file"),
     pytest.param(FAST, ["--frames", "6"], id="patch_leaves-flag"),
+    pytest.param(MINIMAL, ["--frames", "abc"], id="frames_not_int-flag"),
 ])
 def test_predict_invalid_value_exits_2(tmp_path, capsys, text, flags):
     out = tmp_path / "out"
@@ -495,6 +508,18 @@ def test_bd_rate_command_missing_file_exits_2(tmp_path, capsys):
     write_curve(a, CURVE)
     assert cli.main(["bd-rate", a, str(tmp_path / "nothing.csv")]) == 2
     assert "nothing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_row", ["4", "4,high"], ids=["short_row", "unparsable"])
+def test_bd_rate_command_rejects_a_bad_row(tmp_path, capsys, last_row):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_curve(a, CURVE)
+    with open(b, "w") as fh:
+        fh.write(f"rate,psnr\n1,30\n2,31\n3,32\n{last_row}\n")
+    assert cli.main(["bd-rate", a, b]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "b.csv, line 5" in err
 
 
 def test_bd_rate_command_rejects_wrong_columns(tmp_path, capsys):

@@ -434,18 +434,17 @@ def _per_block_rate_point(frames, rp, modes, delta_max):
                     result = predict_uamm(src, ref, ref_field, block, rp.search_range, t2=1,
                                           delta_max=delta_max, initial_mv=initial)
                 tally = tallies[m]
-                tally.sad_total += result.sad
+                sad = int(result.sads[0, 0])
+                tally.sad_total += sad
                 tally.blocks += 1
-                tally.mv_bits += _signed_exp_golomb_bits(
-                    result.initial_mv.x - prev_mv[m].x)
-                tally.mv_bits += _signed_exp_golomb_bits(
-                    result.initial_mv.y - prev_mv[m].y)
-                prev_mv[m] = result.initial_mv
-                tally.residual_bits += math.log2(result.sad + 1)
-                tally.corrected += result.corrected_count
+                tally.mv_bits += _signed_exp_golomb_bits(initial.x - prev_mv[m].x)
+                tally.mv_bits += _signed_exp_golomb_bits(initial.y - prev_mv[m].y)
+                prev_mv[m] = initial
+                tally.residual_bits += math.log2(sad + 1)
+                tally.corrected += int(result.corrected[0, 0])
                 tally.subblocks += (block.w // CELL_SIZE) * (block.h // CELL_SIZE)
                 pred_frames[m][block.y:block.y + block.h,
-                               block.x:block.x + block.w] = result.pred_block
+                               block.x:block.x + block.w] = result.pred
         for m in modes:
             tallies[m].frame_psnrs.append(psnr(src.luma, pred_frames[m]))
         older, newer = newer, field_k

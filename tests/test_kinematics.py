@@ -361,33 +361,39 @@ def test_array_extrapolation_matches_the_scalar_call(rows, t0, t1, t2):
 @st.composite
 def _windowed_cells(draw):
     """A grid of 1-6 x 1-6 cells, each with its own scaled parameters, small
-    enough that the extrapolated vector stays a MotionVector, and its own
-    window of 1-8 ticks, then 1-8 ticks."""
+    enough that the extrapolated vector stays a MotionVector, its own
+    window of 1-8 ticks, then 1-8 ticks, and its own distance t2 of 1-8
+    ticks."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v0 = rng.integers(-64 * P, 64 * P + 1, (2, rows, cols))
     acc = rng.integers(-16 * P, 16 * P + 1, (2, rows, cols)) * (rng.random((rows, cols)) < 0.7)
-    t0, t1 = rng.integers(1, 9, (2, rows, cols))
-    return v0, acc, t0, t1
+    t0, t1, t2 = rng.integers(1, 9, (3, rows, cols))
+    return v0, acc, t0, t1, t2
 
 
-@given(_windowed_cells(), st.integers(1, 8))
+@given(_windowed_cells(), st.one_of(st.integers(1, 8), st.just("per cell")))
 def test_array_extrapolation_reads_each_cells_window(cells, t2):
-    """An array call with per-cell windows gives, in each cell, the scalar
-    ``extrapolate_mv`` of the cell's parameters over its own window."""
-    (v0x, v0y), (ax, ay), t0, t1 = cells
+    """An array call with per-cell windows, and one t2 or each cell's own,
+    gives, in each cell, the scalar ``extrapolate_mv`` of the cell's
+    parameters over its own window and distance."""
+    (v0x, v0y), (ax, ay), t0, t1, cell_t2 = cells
+    if t2 == "per cell":
+        t2 = cell_t2
     x, y = _extrapolate_scaled(v0x, v0y, ax, ay, t0, t1, t2)
     for c in np.ndindex(t0.shape):
         p = params(int(v0x[c]), int(v0y[c]), int(ax[c]), int(ay[c]))
-        want = extrapolate_mv(p, tick(int(t0[c])), tick(int(t1[c])), tick(t2))
+        want = extrapolate_mv(p, tick(int(t0[c])), tick(int(t1[c])),
+                              tick(int(np.broadcast_to(t2, t0.shape)[c])))
         assert (x[c], y[c]) == (want.x, want.y)
 
 
 def test_array_extrapolation_bound_reads_the_largest_window():
-    """One cell's window alone can push a numerator past int64. With
-    a = 2**40 and t2 = 4, windows of (1, 1) extrapolate exactly to
-    a * 32 / (2 * P); one cell at (2**30, 1) needs a numerator near
-    2**73, so the array call raises OverflowError instead of wrapping."""
+    """One cell's window or distance alone can push a numerator past
+    int64. With a = 2**40 and t2 = 4, windows of (1, 1) extrapolate
+    exactly to a * 32 / (2 * P); one cell at (2**30, 1) needs a numerator
+    near 2**73, one cell at t2 = 2**30 one near 2**100, so the array call
+    raises OverflowError instead of wrapping."""
     a, t2 = 2**40, 4
     v0, acc = np.zeros((3, 4), dtype=np.int64), np.full((3, 4), a)
     t0, t1 = np.ones((2, 3, 4), dtype=np.int64)
@@ -397,6 +403,13 @@ def test_array_extrapolation_bound_reads_the_largest_window():
     assert not _fits_i64(2 * a * t2 * (2**30 + 1) + a * t2 * t2)
     with pytest.raises(OverflowError):
         _extrapolate_scaled(v0, v0, acc, acc, t0, t1, t2)
+    t0[1, 2], cell_t2 = 1, np.full((3, 4), t2)
+    same = _extrapolate_scaled(v0, v0, acc, acc, t0, t1, cell_t2)
+    assert [p.tolist() for p in same] == [x.tolist(), y.tolist()]
+    cell_t2[0, 1] = 2**30
+    assert not _fits_i64(2 * a * 2**30 * 2 + a * 2**60)
+    with pytest.raises(OverflowError):
+        _extrapolate_scaled(v0, v0, acc, acc, t0, t1, cell_t2)
 
 
 _MV = st.one_of(st.integers(-MV_MAX, MV_MAX), st.integers(-2**62, 2**62))

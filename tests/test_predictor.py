@@ -32,7 +32,6 @@ from uamm import (
 from uamm import predictor
 from uamm.interp import sample_block, sample_subblocks
 from uamm.predictor import (
-    PredictionMode,
     correct_mvs,
     full_search_me,
     predict_uamm,
@@ -560,8 +559,9 @@ def test_frame_kernels_validate_inputs():
         predict_frame(frame(wide), frame(luma), field, 8)
     with pytest.raises(ValueError, match="one vector per 4x4 cell"):
         predict_frame(frame(wide), frame(wide), field, 8)
+    field.ref_distance[1, 2] = 0
     with pytest.raises(ValueError, match="t2"):
-        predict_frame(frame(luma), frame(luma), field, 8, FieldParams.unavailable(field), t2=0)
+        predict_frame(frame(luma), frame(luma), field, 8, FieldParams.unavailable(field))
 
 
 # ------------------------------------------------------------- compensation
@@ -726,13 +726,12 @@ def test_uniform_static_scene():
     rng = np.random.default_rng(9)
     luma = noise(rng, 32, 32)
     res = predict_uniform(frame(luma), frame(luma), BlockSpec(8, 8, 16, 16), 4)
-    assert res.mode == PredictionMode.UNIFORM_BASELINE
-    assert res.initial_mv == MotionVector(0, 0)
-    assert res.sad == 0
-    assert res.corrected_count == 0
+    assert res.refined.tolist() == [[False]]
+    assert res.sads.tolist() == [[0]]
+    assert res.corrected.tolist() == [[0]]
     assert res.subblock_mvs.shape == (4, 4, 2)
     assert np.all(res.subblock_mvs == 0)
-    assert np.array_equal(res.pred_block, luma[8:24, 8:24])
+    assert np.array_equal(res.pred, luma[8:24, 8:24])
 
 
 def test_uniform_pure_translation_has_zero_sad():
@@ -740,8 +739,8 @@ def test_uniform_pure_translation_has_zero_sad():
     src = noise(rng, 32, 32)
     ref = shifted_right(src, 3)
     res = predict_uniform(frame(src), frame(ref), BlockSpec(8, 8, 8, 8), 8)
-    assert res.initial_mv == MotionVector(48, 0)
-    assert res.sad == 0
+    assert np.all(res.subblock_mvs == (48, 0))
+    assert res.sads[0, 0] == 0
 
 
 def test_uniform_sad_is_the_reported_residual():
@@ -750,8 +749,8 @@ def test_uniform_sad_is_the_reported_residual():
     block = BlockSpec(4, 4, 8, 8)
     res = predict_uniform(frame(src), frame(ref), block, 2)
     manual = np.abs(src[4:12, 4:12].astype(int)
-                    - res.pred_block.astype(int)).sum()
-    assert res.sad == int(manual)
+                    - res.pred.astype(int)).sum()
+    assert res.sads[0, 0] == int(manual)
 
 
 # ----------------------------------------------------------------- uamm mode
@@ -763,11 +762,10 @@ def test_uamm_total_fallback_equals_uniform():
     block = BlockSpec(8, 8, 16, 16)
     a = predict_uamm(frame(src), frame(ref), empty, block, 4, 1)
     b = predict_uniform(frame(src), frame(ref), block, 4)
-    assert a.mode == b.mode == PredictionMode.UNIFORM_BASELINE
-    assert a.initial_mv == b.initial_mv
+    assert a.refined.tolist() == b.refined.tolist() == [[False]]
     assert np.array_equal(a.subblock_mvs, b.subblock_mvs)
-    assert np.array_equal(a.pred_block, b.pred_block)
-    assert (a.sad, a.corrected_count) == (b.sad, b.corrected_count)
+    assert np.array_equal(a.pred, b.pred)
+    assert (a.sads.tolist(), a.corrected.tolist()) == (b.sads.tolist(), b.corrected.tolist())
 
 
 def test_uamm_linear_field_scales_like_tmvp():
@@ -775,8 +773,8 @@ def test_uamm_linear_field_scales_like_tmvp():
     luma = noise(rng, 32, 32)
     f = linear_field(32, 32, 16 * P, 0)  # one pel per tick
     res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(8, 8, 8, 8), 4, t2=2)
-    assert res.mode == PredictionMode.UAMM_REFINED
-    assert res.corrected_count == 0
+    assert res.refined[0, 0]
+    assert res.corrected[0, 0] == 0
     # two ticks of one pel per tick: same value tmvp scaling produces
     from uamm import tmvp_scale
     expect = tmvp_scale(MotionVector(16, 0), TimeInterval(2), TimeInterval(1))
@@ -799,10 +797,10 @@ def test_uamm_recovers_the_accelerating_object():
     # 8x8 block fully inside the object footprint at frame 3
     res = predict_uamm(frames[k], frames[k - 1], ref_field,
                        BlockSpec(16, 6, 8, 8), 12, 1)
-    assert res.mode == PredictionMode.UAMM_REFINED
+    assert res.refined[0, 0]
     assert np.all(res.subblock_mvs == np.array([-gt[k - 1].x, -gt[k - 1].y]))
-    assert res.sad == 0
-    assert res.corrected_count == 0
+    assert res.sads[0, 0] == 0
+    assert res.corrected[0, 0] == 0
 
 
 def test_uamm_partial_out_of_band_clamps_but_keeps_the_rest():
@@ -813,7 +811,7 @@ def test_uamm_partial_out_of_band_clamps_but_keeps_the_rest():
     f.v0[:2] = (48 * P, 0)   # top cell rows extrapolate out of band
     f.v0[2:] = (16 * P, 0)   # bottom rows stay inside
     res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(4, 4, 8, 8), 2, 1)
-    assert res.corrected_count == 2
+    assert res.corrected[0, 0] == 2
     assert np.all(res.subblock_mvs[0] == np.array([32, 0]))
     assert np.all(res.subblock_mvs[1] == np.array([16, 0]))
 
@@ -825,11 +823,10 @@ def test_uamm_majority_reset_reproduces_the_block_vector():
     block = BlockSpec(4, 4, 8, 8)
     res = predict_uamm(frame(luma), frame(luma), f, block, 2, 1)
     base = predict_uniform(frame(luma), frame(luma), block, 2)
-    assert res.mode == PredictionMode.UAMM_REFINED
-    assert res.corrected_count == 4
-    assert np.all(res.subblock_mvs == np.array([base.initial_mv.x,
-                                                base.initial_mv.y]))
-    assert np.array_equal(res.pred_block, base.pred_block)
+    assert res.refined[0, 0]
+    assert res.corrected[0, 0] == 4
+    assert np.array_equal(res.subblock_mvs, base.subblock_mvs)
+    assert np.array_equal(res.pred, base.pred)
 
 
 @pytest.mark.parametrize("v0,acc,kind,t2", [
@@ -867,7 +864,7 @@ def test_uamm_extrapolates_past_the_derived_window():
     rng = np.random.default_rng(18)
     src, ref = frame(noise(rng, 32, 32), poc=6), frame(noise(rng, 32, 32), poc=4)
     field = field_from_global_mv(6, 32, 32, MotionVector(0, 0), two)
-    got = predict_frame(src, ref, field, 16, params, t2=2, delta_max=10**4)
+    got = predict_frame(src, ref, field, 16, params, delta_max=10**4)
     assert np.all(got.subblock_mvs == (128, 0))
     assert not got.corrected.any()
 
@@ -876,8 +873,8 @@ def test_uamm_extrapolates_past_the_derived_window():
 
 def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
     """The frame pass rebuilt from one ``predict_uniform`` (no ``ref_field``)
-    or ``predict_uamm`` (t2 = 1) call per block of the tiling, each given
-    its block's vector from ``field``."""
+    or ``predict_uamm`` call per block of the tiling, each given its
+    block's vector and, as ``t2``, its ref distance from ``field``."""
     h, w = src.luma.shape
     pred = np.zeros((h, w), dtype=np.uint8)
     sub = np.zeros((h // 4, w // 4, 2), dtype=np.int64)
@@ -889,13 +886,14 @@ def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
             if ref_field is None:
                 res = predict_uniform(src, ref, block, 0, initial_mv=mv)
             else:
-                res = predict_uamm(src, ref, ref_field, block, 0, 1,
+                res = predict_uamm(src, ref, ref_field, block, 0,
+                                   int(field.ref_distance[y // 4, x // 4]),
                                    delta_max=delta_max, initial_mv=mv)
-            pred[y:y + block.h, x:x + block.w] = res.pred_block
+            pred[y:y + block.h, x:x + block.w] = res.pred
             sub[y // 4:(y + block.h) // 4, x // 4:(x + block.w) // 4] = res.subblock_mvs
-            sads.append(res.sad)
-            corrected.append(res.corrected_count)
-            refined.append(res.mode == PredictionMode.UAMM_REFINED)
+            sads.append(res.sads[0, 0])
+            corrected.append(res.corrected[0, 0])
+            refined.append(res.refined[0, 0])
     blocks = (-(-h // block_size), -(-w // block_size))
     return (pred, sub, *(np.array(v).reshape(blocks) for v in (sads, corrected, refined)))
 
@@ -909,31 +907,34 @@ def _assert_frame_equals(got, want):
     assert got.refined.tolist() == refined.tolist()
 
 
-def _block_field(w, h, block_size, mvs):
-    """A searched-style field: block (i, j) of the tiling carries mvs[j][i]."""
+def _block_field(w, h, block_size, mvs, dists=None):
+    """A searched-style field: block (i, j) of the tiling carries mvs[j][i]
+    over dists[j][i] ticks, 1 without ``dists``."""
     field = MotionField.empty(1, w, h)
     cells = block_size // CELL_SIZE
     for j in range(len(mvs)):
         for i in range(len(mvs[j])):
             rect = np.s_[j * cells:(j + 1) * cells, i * cells:(i + 1) * cells]
-            field.mv[rect], field.ref_distance[rect] = mvs[j][i], 1
+            field.mv[rect] = mvs[j][i]
+            field.ref_distance[rect] = 1 if dists is None else dists[j][i]
     return field
 
 
 @st.composite
 def _frame_case(draw):
     """Frames of 4-48 px a side tiled by 4-20 px blocks (edge blocks clip),
-    sub-pel block vectors of either sign, and reference parameters whose
-    cells are unavailable with probability 0, 1/2 or 1 and otherwise,
-    over windows of 1-4 ticks each, extrapolate to within 3 pel, so that
-    some stay in the band and some clamp; band widths 0, 32 and one that
-    never clamps."""
+    sub-pel block vectors of either sign over ref distances of 1-3 ticks
+    per block, and reference parameters whose cells are unavailable with
+    probability 0, 1/2 or 1 and otherwise, over windows of 1-4 ticks each,
+    extrapolate to within 3 pel per tick, so that some stay in the band
+    and some clamp; band widths 0, 32 and one that never clamps."""
     w, h = 4 * draw(st.integers(1, 12)), 4 * draw(st.integers(1, 12))
     block_size = draw(st.sampled_from([4, 8, 12, 16, 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     src, ref = frame(noise(rng, w, h), poc=1), frame(noise(rng, w, h), poc=0)
     blocks = (-(-h // block_size), -(-w // block_size))
-    field = _block_field(w, h, block_size, rng.integers(-40, 41, (*blocks, 2)).tolist())
+    field = _block_field(w, h, block_size, rng.integers(-40, 41, (*blocks, 2)).tolist(),
+                         rng.integers(1, 4, blocks).tolist())
     ref_field = FieldParams.unavailable(MotionField.empty(0, w, h))
     shape = ref_field.kind.shape
     ref_field.v0[...] = rng.integers(-48, 49, (*shape, 2)) * P
@@ -959,7 +960,7 @@ def test_frame_pass_matches_one_call_per_block(case):
     _assert_frame_equals(predict_frame(src, ref, field, block_size),
                          _per_block_frame(src, ref, field, block_size))
     _assert_frame_equals(
-        predict_frame(src, ref, field, block_size, ref_field, 1, delta_max),
+        predict_frame(src, ref, field, block_size, ref_field, delta_max),
         _per_block_frame(src, ref, field, block_size, ref_field, delta_max))
 
 
@@ -989,7 +990,7 @@ def test_frame_pass_applies_the_band_rule_block_by_block():
     ref_field.kind[0:4, 4:8] = ref_field.kind[4:6, 0:2] = ParamKind.UNAVAILABLE
     ref_field.v0[ref_field.kind == ParamKind.UNAVAILABLE] = 0
 
-    got = predict_frame(src, ref, field, 16, ref_field, 1, delta_max=32)
+    got = predict_frame(src, ref, field, 16, ref_field, delta_max=32)
     assert got.corrected.tolist() == [[8, 0, 5], [2, 0, 3]]
     assert got.refined.tolist() == [[True, False, True], [True, True, True]]
     want_x = np.minimum(target, 32)
