@@ -61,8 +61,8 @@ def main():
             k - 1, SIZE, SIZE, MotionVector(-gt[k - 2].x, -gt[k - 2].y), tick)
         ref_params = derive_field_params(f_prev1, f_prev2)
         field = search_fields(frames[k], frames[k - 1], [BLOCK], SEARCH)[0]
-        base = predict_frame(frames[k], frames[k - 1], field, BLOCK)
-        refined = predict_frame(frames[k], frames[k - 1], field, BLOCK, ref_params)
+        base = predict_frame(frames[k - 1], field, BLOCK)
+        refined = predict_frame(frames[k - 1], field, BLOCK, ref_params)
         rect = footprint(k)
         sad_uni = object_sad(frames[k], base.pred, rect)
         sad_uamm = object_sad(frames[k], refined.pred, rect)

@@ -29,6 +29,7 @@ from .motion_field import CELL_SIZE, FieldParams, MotionField, derive_field_para
 from .predictor import (
     DEFAULT_DELTA_MAX,
     BlockSpec,
+    _block_sads,
     _check_search_range,
     predict_frame,
     search_fields,
@@ -265,12 +266,12 @@ def _run_rate_points(
     """Predict every frame after the first at every operating point.
 
     Frames run in order. Each frame is searched once per distinct search
-    range, for all rate points at that range, then predicted once per
-    rate point and mode, every block at a time. Each rate point keeps its
-    own tallies, returned in rate point order, and the parameters the
-    uamm mode reads: those derived for the previous frame, which hold its
-    searched field for the next derivation, or, for the first predicted
-    frame, none. The tallies add the blocks up in tiling order.
+    range, for all rate points at that range, then predicted and scored
+    once per rate point and mode, every block at a time. Each rate point
+    keeps its own tallies, returned in rate point order, and the
+    parameters the uamm mode reads: those derived for the previous frame,
+    which hold its searched field for the next derivation, or, for the
+    first predicted frame, none. The tallies add the blocks in tiling order.
     """
     tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
     by_range: dict[int, list[int]] = {}
@@ -289,9 +290,10 @@ def _run_rate_points(
             field_k = searched[i]
             mv_bits = _mv_bits(field_k, rp.block_size)
             for m, tally in tallies[i].items():
-                frame = predict_frame(src, ref, field_k, rp.block_size,
+                frame = predict_frame(ref, field_k, rp.block_size,
                                       derived[i] if m == "uamm" else None, delta_max)
-                sads = frame.sads.ravel().tolist()
+                sads = _block_sads(src.luma, frame.pred, rp.block_size,
+                                   rp.block_size).ravel().tolist()
                 tally.sad_total += sum(sads)
                 tally.blocks += len(sads)
                 tally.mv_bits += mv_bits

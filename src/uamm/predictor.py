@@ -16,8 +16,9 @@ offsets, one uint8 abs-difference plane per offset shared by every block
 size, every block's best updated once per chunk of 16 offsets. A block
 at SAD 0 is final; each later chunk builds its planes, in batched
 gathers, only over the rect of the blocks still live, and the search
-ends when none is. ``predict_frame`` predicts every block of a frame in
-one mode in one batch over its 4x4 cell grid. Their one-block cases,
+ends when none is. ``predict_frame`` reconstructs every block of a frame
+in one mode in one batch over its 4x4 cell grid from what a decoder has:
+the reference frame, the coded field and the parameters. Their one-block cases,
 ``full_search_me``, ``predict_uniform``, ``predict_uamm`` and ``correct_mvs``,
 stay only as test oracles and as hooks ``perfbench/traced_cli.py`` patches,
 until the tracer wraps the frame kernels (ROADMAP.md).
@@ -70,7 +71,7 @@ class BlockSpec:
 
 @dataclass
 class FramePrediction:
-    """Everything one mode's pass over a frame tiling produced.
+    """Everything one mode's reconstruction of a frame tiling produced.
 
     Per-block arrays are indexed [row, col] over the tiling, which runs
     row by row like the block vectors of ``search_fields``' fields.
@@ -78,7 +79,6 @@ class FramePrediction:
 
     pred: np.ndarray          # (height, width) uint8
     subblock_mvs: np.ndarray  # (cells_y, cells_x, 2) int64, 1/16-pel units
-    sads: np.ndarray          # (blocks_y, blocks_x) int64
     corrected: np.ndarray     # (blocks_y, blocks_x) int64 clamped sub-blocks
     refined: np.ndarray       # (blocks_y, blocks_x) bool: any sub-block inherited
 
@@ -409,10 +409,10 @@ def correct_mvs(
     return out, count[..., 0, 0]
 
 
-def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, h: int,
-                    bh: int, bw: int, mvs: np.ndarray, ref_params: Optional[FieldParams] = None,
-                    t2=1, delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
-    """Predict the bh x bw blocks tiling the w x h rect at (x, y) at once.
+def _predict_blocks(ref: FrameBuffer, x: int, y: int, w: int, h: int, bh: int, bw: int,
+                    mvs: np.ndarray, ref_params: Optional[FieldParams] = None, t2=1,
+                    delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
+    """Predict the bh x bw blocks tiling the w x h rect at (x, y) of ``ref`` at once.
 
     ``mvs`` is (h/4, w/4, 2) int64: each 4x4 cell's block vector. Without
     ``ref_params`` every sub-block keeps it (uniform). With them, each
@@ -421,11 +421,9 @@ def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, 
     their window, falls back to the block vector where they are
     unavailable and is corrected block by block (uamm). ``t2`` is an int,
     or an (h/4, w/4) plane of each cell's own distance, at least 1. One
-    gather compensates every sub-block; one abs-difference plane every SAD.
+    gather compensates every sub-block.
     """
-    rect = BlockSpec(x, y, w, h)
-    _check_block_in_frame(src, rect)
-    _check_block_in_frame(ref, rect)
+    _check_block_in_frame(ref, BlockSpec(x, y, w, h))
     if mvs.shape != (h // CELL_SIZE, w // CELL_SIZE, 2):
         raise ValueError(f"expected one vector per 4x4 cell of {w}x{h}, got {mvs.shape}")
     if ref_params is None:
@@ -442,34 +440,33 @@ def _predict_blocks(src: FrameBuffer, ref: FrameBuffer, x: int, y: int, w: int, 
         sub, corrected = _correct(raw, mvs, delta_max, bh // CELL_SIZE, bw // CELL_SIZE)
         refined = _tile_sums(available, bh // CELL_SIZE, bw // CELL_SIZE)
     pred = sample_subblocks(ref.luma, x, y, w, h, sub)
-    sads = _block_sads(src.luma[y:y + h, x:x + w], pred, bh, bw)
-    return FramePrediction(pred=pred, subblock_mvs=sub, sads=sads,
-                           corrected=corrected, refined=refined > 0)
+    return FramePrediction(pred=pred, subblock_mvs=sub, corrected=corrected,
+                           refined=refined > 0)
 
 
-def predict_frame(src: FrameBuffer, ref: FrameBuffer, field: MotionField, block_size: int,
+def predict_frame(ref: FrameBuffer, field: MotionField, block_size: int,
                   ref_params: Optional[FieldParams] = None,
                   delta_max: int = DEFAULT_DELTA_MAX) -> FramePrediction:
-    """Predict every block of ``src``'s tiling in one batch.
+    """Predict every block of a frame's tiling in one batch from ``ref``,
+    ``field`` and ``ref_params`` alone: no source frame.
 
-    ``field`` is ``search_fields``' result for this ``src``/``ref`` pair
-    and ``block_size``: each cell holds its block's vector and the ticks
-    it spans back to ``ref``. Without ``ref_params`` this is
-    ``predict_uniform`` block by block; with the reference frame's
-    parameters it is ``predict_uamm``, with one gather and one
-    extrapolation over the whole cell grid, each cell over its own ref
-    distance past its window, and the band clamp and majority reset block
-    by block. A block with no usable parameters comes out as its uniform
-    prediction.
+    ``field`` is ``search_fields``' result for ``block_size``, as large as
+    ``ref``: each cell holds its block's vector and the ticks it spans
+    back to ``ref``. Without ``ref_params`` this is ``predict_uniform``
+    block by block; with the reference frame's parameters it is
+    ``predict_uamm``, with one gather and one extrapolation over the
+    whole cell grid, each cell over its own ref distance past its window,
+    and the band clamp and majority reset block by block. A block with no
+    usable parameters comes out as its uniform prediction.
     """
-    return _predict_blocks(src, ref, 0, 0, src.width, src.height, block_size, block_size,
+    return _predict_blocks(ref, 0, 0, ref.width, ref.height, block_size, block_size,
                            field.mv.astype(np.int64), ref_params, field.ref_distance, delta_max)
 
 
 def predict_uniform(src: FrameBuffer, ref: FrameBuffer, block: BlockSpec, search_range: int,
                     initial_mv: Optional[MotionVector] = None) -> FramePrediction:
-    """Single-vector baseline: ``predict_uamm`` with no parameters (test
-    oracle, tracer hook)."""
+    """Single-vector baseline: ``predict_uamm`` with no parameters, ``src``
+    feeding only the search (test oracle, tracer hook)."""
     return predict_uamm(src, ref, None, block, search_range, 1, initial_mv=initial_mv)
 
 
@@ -478,16 +475,16 @@ def predict_uamm(src: FrameBuffer, ref: FrameBuffer, ref_params: Optional[FieldP
                  delta_max: int = DEFAULT_DELTA_MAX,
                  initial_mv: Optional[MotionVector] = None) -> FramePrediction:
     """Accelerated-model prediction of one block: ``_predict_blocks`` over
-    its rect, every 4x4 cell carrying ``initial_mv`` or, if that is None,
-    the ``full_search_me`` vector, each sub-block extrapolated ``t2``
-    ticks past the window of the parameters it inherits. Where every
-    sub-block falls back to the block vector, ``refined[0, 0]`` is False
-    and the result is the uniform baseline exactly. A test oracle and
-    tracer hook only.
+    its rect of ``ref``, every 4x4 cell carrying ``initial_mv`` or, if that
+    is None, the ``full_search_me`` vector, the one use of ``src``; each
+    sub-block extrapolated ``t2`` ticks past the window of the parameters
+    it inherits. Where every sub-block falls back to the block vector,
+    ``refined[0, 0]`` is False and the result is the uniform baseline
+    exactly. A test oracle and tracer hook only.
     """
     mv = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)
     mvs = np.tile(np.array([mv.x, mv.y], dtype=np.int64),
                   (block.h // CELL_SIZE, block.w // CELL_SIZE, 1))
-    return _predict_blocks(src, ref, block.x, block.y, block.w, block.h, block.h, block.w,
+    return _predict_blocks(ref, block.x, block.y, block.w, block.h, block.h, block.w,
                            mvs, ref_params, t2, delta_max)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from uamm import (
     write_yuv,
 )
 from uamm import evaluation, predictor
+from uamm.config import load_config
 from uamm.evaluation import MODES, _ModeTally, _signed_exp_golomb_bits
 from uamm.motion_field import CELL_SIZE
 from uamm.predictor import predict_uamm, predict_uniform
@@ -373,26 +375,21 @@ def test_interleaved_rate_points_match_one_run_per_point(tmp_path):
 
 def test_rate_points_at_one_range_share_one_search_pass(monkeypatch):
     """Four block sizes at range 2 search each frame pair in one shared
-    ``_search_blocks`` pass, with every size's tiling; prediction adds one
-    abs-difference plane per rate point and mode."""
-    searches, searching, planes = [], [], []
-    search_blocks, block_sads = predictor._search_blocks, predictor._block_sads
+    ``_search_blocks`` pass, with every size's tiling; the runner scores
+    each prediction with one abs-difference plane per rate point and mode."""
+    searches, planes = [], []
+    search_blocks, block_sads = predictor._search_blocks, evaluation._block_sads
 
     def counting_search(*args, **kwargs):
         searches.append((args[6], args[7]))
-        searching.append(True)
-        try:
-            return search_blocks(*args, **kwargs)
-        finally:
-            searching.pop()
+        return search_blocks(*args, **kwargs)
 
     def counting_planes(*args, **kwargs):
-        if not searching:
-            planes.append(1)
+        planes.append(1)
         return block_sads(*args, **kwargs)
 
     monkeypatch.setattr(predictor, "_search_blocks", counting_search)
-    monkeypatch.setattr(predictor, "_block_sads", counting_planes)
+    monkeypatch.setattr(evaluation, "_block_sads", counting_planes)
     frames = accel_source(frames=4).load()
     points = tuple(RatePoint(f"b{bs}", bs, 2) for bs in (8, 12, 16, 32))
     evaluation._run_rate_points(frames, points, ("uniform",), 32)
@@ -434,7 +431,8 @@ def _per_block_rate_point(frames, rp, modes, delta_max):
                     result = predict_uamm(src, ref, ref_field, block, rp.search_range, t2=1,
                                           delta_max=delta_max, initial_mv=initial)
                 tally = tallies[m]
-                sad = int(result.sads[0, 0])
+                target = src.luma[block.y:block.y + block.h, block.x:block.x + block.w]
+                sad = int(predictor._block_sads(target, result.pred, block.h, block.w)[0, 0])
                 tally.sad_total += sad
                 tally.blocks += 1
                 tally.mv_bits += _signed_exp_golomb_bits(initial.x - prev_mv[m].x)
@@ -497,3 +495,96 @@ def test_rate_point_tallies_match_the_block_loop(clip):
     frames, rp, modes, delta_max = clip
     got = evaluation._run_rate_point(frames, rp, modes, delta_max)
     assert got == _per_block_rate_point(frames, rp, modes, delta_max)
+
+
+# ------------------------------------------------------------ decoder replay
+
+PRESETS = Path(__file__).resolve().parents[1] / "scripts" / "presets"
+
+
+def _assert_a_decoder_replays(frames, rate_points, modes, delta_max):
+    """Run ``_run_rate_points``, recording each ``predict_frame`` call, then
+    replay every prediction as a decoder would, from the frames and the
+    recorded fields alone: rate point i's uamm mode reads the parameters
+    derived from its fields of the two frames before, an empty field
+    standing in before the first. No frame plane and no recorded field
+    may change in the run or the replay."""
+    calls, reconstruct = [], evaluation.predict_frame
+
+    def fingerprint(field):
+        return field.mv.tobytes() + field.ref_distance.tobytes()
+
+    def recording(ref, field, block_size, ref_params=None,
+                  delta_max=predictor.DEFAULT_DELTA_MAX):
+        snapshot = fingerprint(field)
+        frame = reconstruct(ref, field, block_size, ref_params, delta_max)
+        calls.append((ref.poc, field, block_size, ref_params is not None,
+                      frame.pred.tobytes(), snapshot))
+        return frame
+
+    def planes():
+        return [p.tobytes() for f in frames for p in (f.luma, f.chroma_u, f.chroma_v)
+                if p is not None]
+
+    def assert_untouched():
+        assert planes() == before
+        assert all(fingerprint(call[1]) == call[-1] for call in calls)
+
+    before = planes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "predict_frame", recording)
+        evaluation._run_rate_points(frames, rate_points, modes, delta_max)
+    assert_untouched()
+    assert len(calls) == (len(frames) - 1) * len(rate_points) * len(modes)
+
+    recorded = iter(calls)
+    fields = [[MotionField.empty(frames[0].poc, frames[0].width, frames[0].height)]
+              for _ in rate_points]
+    for k in range(1, len(frames)):
+        for i, rp in enumerate(rate_points):
+            for m in modes:
+                ref_poc, field, block_size, with_params, pred, _ = next(recorded)
+                assert (ref_poc, block_size, with_params) == (
+                    frames[k - 1].poc, rp.block_size, m == "uamm")
+                if len(fields[i]) == k:
+                    fields[i].append(field)
+                assert field is fields[i][k]
+                params = None
+                if m == "uamm":
+                    params = (FieldParams.unavailable(fields[i][0]) if k == 1 else
+                              derive_field_params(fields[i][k - 1], fields[i][k - 2]))
+                replayed = predictor.predict_frame(frames[k - 1], field, rp.block_size,
+                                                   params, delta_max)
+                assert replayed.pred.tobytes() == pred
+    assert_untouched()
+
+
+@pytest.mark.parametrize("preset", ["accel_sweep.ini", "demo_field.ini"])
+def test_a_decoder_replays_every_prediction_of_a_preset(preset):
+    """Both shipped presets, both modes; demo_field.ini at its one
+    [predict] point."""
+    config = load_config(str(PRESETS / preset))
+    _assert_a_decoder_replays(config.source.load(), config.rate_points, MODES,
+                              config.delta_max)
+
+
+@st.composite
+def _replay_clip(draw):
+    """A ``_two_layer_clip`` of 3-4 frames, 32-64 px a side, at 1-3 rate
+    points of block size 8 or 16 and search range 1-4."""
+    w, h = 4 * draw(st.integers(8, 16)), 4 * draw(st.integers(8, 16))
+    motion = st.tuples(*[st.integers(-4, 4)] * 4)
+    x0, x1 = sorted(draw(st.integers(0, w)) for _ in range(2))
+    y0, y1 = sorted(draw(st.integers(0, h)) for _ in range(2))
+    frames = _two_layer_clip(w, h, draw(st.integers(3, 4)), draw(st.integers(0, 2**32 - 1)),
+                             256, draw(motion), draw(motion), (x0, y0, x1, y1))
+    points = draw(st.lists(st.tuples(st.sampled_from([8, 16]), st.integers(1, 4)),
+                           min_size=1, max_size=3))
+    return frames, tuple(RatePoint(f"p{i}", bs, r) for i, (bs, r) in enumerate(points))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_replay_clip())
+def test_a_decoder_replays_every_prediction_of_a_moving_clip(clip):
+    frames, rate_points = clip
+    _assert_a_decoder_replays(frames, rate_points, MODES, 32)
