@@ -72,7 +72,8 @@ def cmd_demo_field(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
-        searched = search_fields(frames[k], frames[k - 1], [cfg.block_size], cfg.search_range)
+        searched = search_fields(frames[k], frames[k - 1], [cfg.point.block_size],
+                                 cfg.point.search_range)
         params = derive_field_params(searched[0], field)
         field = params.field
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
@@ -87,11 +88,17 @@ def _read_curve(path: str) -> list[RdPoint]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"rate", "psnr"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected a CSV with rate,psnr columns")
-        try:
-            points = [RdPoint(float(row["rate"]), float(row["psnr"])) for row in reader]
-        except (TypeError, ValueError):     # a short row reads None
-            raise ValueError(f"{path}, line {reader.line_num}: missing or unparsable "
-                             "rate,psnr value") from None
+        points = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            try:
+                rate, quality = float(row["rate"]), float(row["psnr"])
+            except (TypeError, ValueError):     # a short row reads None
+                raise ValueError(f"{where}: missing or unparsable rate,psnr value") from None
+            try:
+                points.append(RdPoint(rate, quality))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return sorted(points, key=lambda p: p.rate)
 
 

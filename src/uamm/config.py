@@ -104,15 +104,15 @@ def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> Trajector
 
 
 def _parse_rate_points(parser: configparser.ConfigParser,
-                       block_size: int, search_range: int) -> tuple[RatePoint, ...]:
+                       point: RatePoint) -> tuple[RatePoint, ...]:
+    """[rate_points], its search ranges defaulting to ``point``'s, or ``point`` alone."""
     sec = "rate_points"
     if not parser.has_section(sec):
-        return (_build("[predict]", RatePoint, label="base", block_size=block_size,
-                       search_range=search_range),)
+        return (point,)
     labels = _to_list(_get(parser, sec, "labels", str, _REQUIRED, "in [rate_points]"))
     sizes = _to_list(_get(parser, sec, "block_sizes", str, _REQUIRED, "in [rate_points]"))
     ranges = _to_list(_get(parser, sec, "search_ranges", str,
-                           ", ".join([str(search_range)] * len(labels)), ""))
+                           ", ".join([str(point.search_range)] * len(labels)), ""))
     if not (len(labels) == len(sizes) == len(ranges)):
         raise ConfigError(
             "[rate_points] labels, block_sizes and search_ranges must have "
@@ -181,21 +181,22 @@ def load_config(path: str, **flags) -> ExperimentConfig:
         trajectory = _parse_trajectory(parser, _get(parser, "run", "seed", int, 0, ""))
     source = _build("[input]", SequenceSource,
                     name=_get(parser, "input", "name", str, default_name, ""),
-                    width=width, height=height, frames=frames, kind=kind,
+                    width=width, height=height, frames=frames,
                     path=seq_path, trajectory=trajectory)
 
-    block_size = _get(parser, "predict", "block_size", int, ExperimentConfig.block_size, "")
-    search_range = _get(parser, "predict", "search_range", int,
-                        ExperimentConfig.search_range, "")
+    base = ExperimentConfig.point
+    point = _build("[predict]", RatePoint, label=base.label,
+                   block_size=_get(parser, "predict", "block_size", int, base.block_size, ""),
+                   search_range=_get(parser, "predict", "search_range", int,
+                                     base.search_range, ""))
     return _build(
         f"{path}:", ExperimentConfig,
         source=source,
-        rate_points=_parse_rate_points(parser, block_size, search_range),
+        rate_points=_parse_rate_points(parser, point),
         modes=tuple(_to_list(_get(parser, "predict", "modes", str,
                                   ", ".join(ExperimentConfig.modes), ""))),
         delta_max=_get(parser, "predict", "delta_max", int, ExperimentConfig.delta_max, ""),
-        block_size=block_size,
-        search_range=search_range,
+        point=point,
         output_dir=_get(parser, "output", "dir", str, "out", ""),
         write_rd_curves=_get(parser, "output", "write_rd_curves", _to_bool, False, ""),
     )

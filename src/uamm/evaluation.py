@@ -71,8 +71,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     squares are summed in float64, exactly: the sum is an integer below
     2**53, so the mean is the one an int64 tally would give.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"plane shapes differ: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.size == 0:
+        raise ValueError(f"planes must share one non-empty shape, got {a.shape} vs {b.shape}")
     diff = np.maximum(a, b)
     diff -= np.minimum(a, b)
     d = diff.ravel().astype(np.float64)
@@ -125,75 +125,65 @@ def bd_rate(curve_a, curve_b) -> float:
 
 @dataclass(frozen=True)
 class SequenceSource:
-    """Where a sequence's frames come from: a file or the generator."""
+    """Where a sequence's frames come from: the yuv file at ``path`` or the
+    generator's ``trajectory``, exactly one of them."""
 
     name: str
     width: int
     height: int
     frames: int
-    kind: str = "synth"                       # "yuv" or "synth"
     path: Optional[str] = None
     trajectory: Optional[TrajectorySpec] = None
 
     def __post_init__(self):
-        if self.kind not in ("yuv", "synth"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.frames < 2:
             raise ValueError(f"need at least 2 frames to predict, got {self.frames}")
         if min(self.width, self.height) < 4 or self.width % 4 or self.height % 4:
             raise ValueError(f"frame dimensions must be positive multiples of 4, "
                              f"got {self.width}x{self.height}")
-        if self.kind == "yuv" and not self.path:
-            raise ValueError("yuv sequence needs a path")
-        if self.kind == "synth":
-            if self.trajectory is None:
-                raise ValueError("synthetic sequence needs a trajectory")
+        if bool(self.path) == (self.trajectory is not None):
+            raise ValueError("a sequence needs a path or a trajectory, exactly one")
+        if self.trajectory is not None:
             trajectory_positions(self.trajectory, self.frames, self.width, self.height)
 
     def load(self) -> list[FrameBuffer]:
-        if self.kind == "yuv":
+        if self.path:
             return read_yuv(self.path, self.width, self.height, self.frames)
         frames, _ = synth_sequence(self.trajectory, self.frames, self.width, self.height)
         return frames
 
 
-def _check_block(block_size: int, search_range: int) -> None:
-    BlockSpec(0, 0, block_size, block_size)
-    _check_search_range(search_range)
-
-
 @dataclass(frozen=True)
 class RatePoint:
-    """One operating point of the sweep."""
+    """One operating point: square blocks of ``block_size`` searched over
+    +-``search_range`` pel."""
 
     label: str
     block_size: int
     search_range: int
 
     def __post_init__(self):
-        _check_block(self.block_size, self.search_range)
+        BlockSpec(0, 0, self.block_size, self.block_size)
+        _check_search_range(self.search_range)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run: a sequence, the rate points to sweep, the modes to compare.
 
-    ``block_size`` and ``search_range`` are the single operating point
-    that ``demo-field`` estimates its fields at. Without an ``output_dir``
-    nothing is written.
+    ``point`` is the [predict] operating point: ``demo-field`` estimates
+    its fields at it. Without an ``output_dir`` nothing is written.
     """
 
     source: SequenceSource
     rate_points: tuple[RatePoint, ...]
     modes: tuple[str, ...] = MODES
     delta_max: int = DEFAULT_DELTA_MAX
-    block_size: int = 16
-    search_range: int = 8
+    point: RatePoint = RatePoint("base", 16, 8)
     output_dir: Optional[str] = None
     write_rd_curves: bool = False
 
     def __post_init__(self):
-        _check_block(self.block_size, self.search_range)
         if not self.modes:
             raise ValueError("at least one mode is required")
         for m in self.modes:
@@ -225,6 +215,11 @@ class ReportRow:
 class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
     bd_summary: list[tuple[str, Optional[float]]] = field(default_factory=list)
+
+    def rd_curve(self, mode: str) -> list[RdPoint]:
+        """The RD curve of ``mode``: one point per row of it, sorted by rate."""
+        return sorted((RdPoint(r.rate_proxy, r.pred_psnr_db) for r in self.rows
+                       if r.mode == mode), key=lambda p: p.rate)
 
 
 def _signed_exp_golomb_bits(v):
@@ -325,31 +320,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     report = ExperimentReport()
     name = config.source.name
-    curves: dict[str, list[RdPoint]] = {m: [] for m in config.modes}
     frames = config.source.load()
     runs = _run_rate_points(frames, config.rate_points, config.modes, config.delta_max)
+    # Each tally has a frame of blocks, each block a vector of 2 bits or more.
     for rp, tallies in zip(config.rate_points, runs):
         for m in config.modes:
             t = tallies[m]
-            mean_sad = t.sad_total / t.blocks
-            mean_psnr = (sum(t.frame_psnrs) / len(t.frame_psnrs)
-                         if t.frame_psnrs else math.inf)
-            rate_proxy = t.mv_bits + t.residual_bits
-            corrected_pct = 100.0 * t.corrected / t.subblocks if t.subblocks else 0.0
             report.rows.append(ReportRow(
                 sequence=name,
                 rate_point=rp.label,
                 mode=m,
-                mean_sad=mean_sad,
-                pred_psnr_db=mean_psnr,
-                rate_proxy=rate_proxy,
-                corrected_pct=corrected_pct,
+                mean_sad=t.sad_total / t.blocks,
+                pred_psnr_db=sum(t.frame_psnrs) / len(t.frame_psnrs),
+                rate_proxy=t.mv_bits + t.residual_bits,
+                corrected_pct=100.0 * t.corrected / t.subblocks,
             ))
-            if rate_proxy > 0:
-                curves[m].append(RdPoint(rate_proxy, mean_psnr))
 
     if "uniform" in config.modes and "uamm" in config.modes:
-        report.bd_summary.append((name, _try_bd(curves["uniform"], curves["uamm"])))
+        report.bd_summary.append(
+            (name, _try_bd(report.rd_curve("uniform"), report.rd_curve("uamm"))))
 
     _maybe_write(config, report)
     return report
@@ -357,9 +346,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def _try_bd(curve_a: list[RdPoint], curve_b: list[RdPoint]) -> Optional[float]:
     try:
-        a = sorted(curve_a, key=lambda p: p.rate)
-        b = sorted(curve_b, key=lambda p: p.rate)
-        return bd_rate(a, b)
+        return bd_rate(curve_a, curve_b)
     except ValueError:      # BdRateError included
         return None
 
@@ -397,12 +384,9 @@ def _maybe_write(config: ExperimentConfig, report: ExperimentReport) -> None:
     with open(os.path.join(config.output_dir, "bd_summary.csv"), "w") as fh:
         write_bd_summary_csv(report, fh)
     if config.write_rd_curves:
-        by_key: dict[tuple[str, str], list[ReportRow]] = {}
-        for r in report.rows:
-            by_key.setdefault((r.sequence, r.mode), []).append(r)
-        for (seq, mode), rows in by_key.items():
-            fname = f"rd_{_safe_name(seq)}_{mode}.dat"
+        for mode in config.modes:
+            fname = f"rd_{_safe_name(config.source.name)}_{mode}.dat"
             with open(os.path.join(config.output_dir, fname), "w") as fh:
                 fh.write("# rate_proxy pred_psnr_db\n")
-                for r in sorted(rows, key=lambda r: r.rate_proxy):
-                    fh.write(f"{_fmt(r.rate_proxy)} {_fmt(r.pred_psnr_db)}\n")
+                for p in report.rd_curve(mode):
+                    fh.write(f"{_fmt(p.rate)} {_fmt(p.psnr)}\n")

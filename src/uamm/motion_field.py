@@ -47,21 +47,19 @@ _DUMP_BYTES = 64 * 1024
 
 @dataclass
 class MotionField:
-    """Cell grid for one frame. Arrays are indexed [cy, cx]."""
+    """Cell grid for one frame, a cell per started 4x4 block. Arrays are indexed [cy, cx]."""
 
     poc: int
-    width: int
-    height: int
     mv: np.ndarray          # (cells_y, cells_x, 2) int32, 1/16-pel units
     ref_distance: np.ndarray  # (cells_y, cells_x) int32 ticks; 0: the cell has no vector
 
     @classmethod
     def empty(cls, poc: int, width: int, height: int) -> "MotionField":
-        """A field with every cell unavailable."""
+        """The grid of a ``width`` x ``height`` frame, every cell unavailable."""
         if width < 1 or height < 1:
             raise ValueError(f"frame dimensions must be positive, got {width}x{height}")
         cells = (-(-height // CELL_SIZE), -(-width // CELL_SIZE))
-        return cls(poc, width, height, np.zeros((*cells, 2), dtype=np.int32),
+        return cls(poc, np.zeros((*cells, 2), dtype=np.int32),
                    np.zeros(cells, dtype=np.int32))
 
     @property
@@ -107,14 +105,15 @@ def field_from_global_mv(
 def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mvy):
     """Index pair (cy, cx) into ``field``'s planes, [row, col] over the 4x4
     cells of the pixel rect (x, y, w, h): each cell center moved by the
-    vector rounded to integer pixels, clamped into the frame. The vector
-    (mvx, mvy) is one pair of ints, or one pair of (rows, cols) planes."""
-    px = (np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE)
-          + div_round_half_away(mvx, MV_UNITS_PER_PEL))
-    py = (np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None]
-          + div_round_half_away(mvy, MV_UNITS_PER_PEL))
-    return (np.minimum(np.maximum(py, 0), field.height - 1) // CELL_SIZE,
-            np.minimum(np.maximum(px, 0), field.width - 1) // CELL_SIZE)
+    vector rounded to integer pixels, its cell clamped into the grid: the
+    cell of the nearest frame pixel. (mvx, mvy) is one pair of ints, or
+    one pair of (rows, cols) planes."""
+    cx = (np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE)
+          + div_round_half_away(mvx, MV_UNITS_PER_PEL)) // CELL_SIZE
+    cy = (np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None]
+          + div_round_half_away(mvy, MV_UNITS_PER_PEL)) // CELL_SIZE
+    return (np.minimum(np.maximum(cy, 0), field.cells_y - 1),
+            np.minimum(np.maximum(cx, 0), field.cells_x - 1))
 
 
 def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from uamm import (
     read_yuv,
     synth_sequence,
 )
-from uamm.config import ConfigError, load_config
+from uamm.config import FLAG_KEYS, KNOWN_KEYS, ConfigError, load_config
 from uamm.evaluation import RdPoint
 
 MINIMAL = """\
@@ -86,11 +87,11 @@ def write_ini(tmp_path, text, name="exp.ini"):
 
 def test_load_minimal_synthetic_config(tmp_path):
     cfg = load_config(write_ini(tmp_path, MINIMAL))
-    assert cfg.source.kind == "synth"
+    assert cfg.source.path is None and cfg.source.trajectory is not None
     assert (cfg.source.width, cfg.source.height, cfg.source.frames) == (32, 32, 4)
     assert cfg.source.name == "synthetic"
-    assert cfg.block_size == 16 and cfg.search_range == 8
-    assert cfg.rate_points == (RatePoint("base", 16, 8),)
+    assert cfg.point == RatePoint("base", 16, 8)
+    assert cfg.rate_points == (cfg.point,)
     assert cfg.output_dir == "out"
     assert (cfg.source.trajectory.patch_seed,
             cfg.source.trajectory.background_seed) == (0, 1)
@@ -121,7 +122,7 @@ def test_load_yuv_config_names_after_the_file(tmp_path):
     text = "[input]\nkind = yuv\npath = clips/foreman.yuv\n" \
            "width = 32\nheight = 32\nframes = 3\n"
     cfg = load_config(write_ini(tmp_path, text))
-    assert cfg.source.kind == "yuv"
+    assert cfg.source.trajectory is None
     assert cfg.source.name == "foreman"
     assert cfg.source.path == "clips/foreman.yuv"
 
@@ -145,6 +146,29 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     assert config.output_dir is None
     assert [row.mode for row in report.rows] == list(config.modes)
     assert not os.listdir(tmp_path)
+
+
+def _undocumented(readme):
+    """The ``predict`` flags missing from README's "Command line" section,
+    then the config sections and keys missing from its "Config format"."""
+    def section(title):
+        return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+    usage, spec = section("Command line"), section("Config format")
+    flags = ["--" + name.replace("_", "-") for name in FLAG_KEYS]
+    return ([f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", usage)]
+            + [f"[{s}]" for s in KNOWN_KEYS if f"[{s}]" not in spec]
+            + [f"[{s}] {k}" for s, keys in KNOWN_KEYS.items() for k in sorted(keys)
+               if not re.search(rf"\b{k}\b", spec)])
+
+
+def test_readme_documents_every_flag_and_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert _undocumented(readme) == []
+    # The check bites: a README that drops a flag or a key names it.
+    assert _undocumented(readme.replace("--seed", "--sd")) == ["--seed"]
+    assert _undocumented(readme.replace("write_rd_curves", "rd")) == [
+        "[output] write_rd_curves"]
 
 
 def test_known_keys_load_whatever_the_input_kind(tmp_path):
@@ -211,8 +235,8 @@ def test_overrides_replace_frames_and_collapse_rate_points(tmp_path):
     over = load_config(write_ini(tmp_path, FULL), frames=3, block_size=8,
                        out="elsewhere", seed=99, modes="uamm")
     assert over.source.frames == 3
-    assert over.block_size == 8 and over.search_range == 8
-    assert over.rate_points == (RatePoint("base", 8, 8),)
+    assert over.point == RatePoint("base", 8, 8)
+    assert over.rate_points == (over.point,)
     assert over.output_dir == "elsewhere"
     assert over.modes == ("uamm",)
     # the file's explicit patch_seed wins; background_seed follows the seed
@@ -510,8 +534,11 @@ def test_bd_rate_command_missing_file_exits_2(tmp_path, capsys):
     assert "nothing.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("last_row", ["4", "4,high"], ids=["short_row", "unparsable"])
-def test_bd_rate_command_rejects_a_bad_row(tmp_path, capsys, last_row):
+@pytest.mark.parametrize("last_row, reason", [
+    ("4", "missing or unparsable"), ("4,high", "missing or unparsable"),
+    ("0,33", "must be positive"),
+], ids=["short_row", "unparsable", "zero_rate"])
+def test_bd_rate_command_rejects_a_bad_row(tmp_path, capsys, last_row, reason):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_curve(a, CURVE)
     with open(b, "w") as fh:
@@ -519,7 +546,7 @@ def test_bd_rate_command_rejects_a_bad_row(tmp_path, capsys, last_row):
     assert cli.main(["bd-rate", a, b]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "b.csv, line 5" in err
+    assert "b.csv, line 5" in err and reason in err
 
 
 def test_bd_rate_command_rejects_wrong_columns(tmp_path, capsys):

@@ -124,6 +124,9 @@ def test_psnr_equals_the_int64_formula_exactly(planes):
 def test_psnr_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
+    # Empty planes have no mean error: a ValueError too, not a ZeroDivisionError.
+    with pytest.raises(ValueError):
+        psnr(np.zeros((0, 4), dtype=np.uint8), np.zeros((0, 4), dtype=np.uint8))
 
 
 # ------------------------------------------------------------------ bd-rate
@@ -219,17 +222,18 @@ def test_source_rejects_unaligned_dimensions():
         accel_source(size=30)
     for width in (0, -4):
         with pytest.raises(ValueError):
-            SequenceSource(name="x", width=width, height=32, frames=4,
-                           kind="yuv", path="x.yuv")
+            SequenceSource(name="x", width=width, height=32, frames=4, path="x.yuv")
 
 
 def test_source_needs_its_backing_data():
+    """A source is a path or a trajectory: exactly one of them."""
     with pytest.raises(ValueError):
-        SequenceSource(name="x", width=32, height=32, frames=4, kind="yuv")
+        SequenceSource(name="x", width=32, height=32, frames=4)
     with pytest.raises(ValueError):
-        SequenceSource(name="x", width=32, height=32, frames=4, kind="synth")
+        SequenceSource(name="x", width=32, height=32, frames=4, path="")
     with pytest.raises(ValueError):
-        SequenceSource(name="x", width=32, height=32, frames=4, kind="raw")
+        SequenceSource(name="x", width=32, height=32, frames=4, path="x.yuv",
+                       trajectory=accel_source().trajectory)
 
 
 def test_rate_point_validation():
@@ -303,7 +307,7 @@ def test_experiment_reads_yuv_sources(tmp_path):
     write_yuv(frames, str(path))
     cfg = make_config(tmp_path, SequenceSource(name="clip", width=32,
                                                height=32, frames=4,
-                                               kind="yuv", path=str(path)))
+                                               path=str(path)))
     report = run_experiment(cfg)
     assert {r.sequence for r in report.rows} == {"clip"}
     assert len(report.rows) == 4  # 2 rate points x 2 modes
@@ -312,8 +316,7 @@ def test_experiment_reads_yuv_sources(tmp_path):
 def test_experiment_missing_yuv_names_the_file(tmp_path):
     missing = str(tmp_path / "nope.yuv")
     cfg = make_config(tmp_path, SequenceSource(name="x", width=32, height=32,
-                                               frames=4, kind="yuv",
-                                               path=missing))
+                                               frames=4, path=missing))
     with pytest.raises(FileNotFoundError) as err:
         run_experiment(cfg)
     assert "nope.yuv" in str(err.value)
@@ -491,10 +494,14 @@ def _moving_clip(draw):
           RatePoint("rp", 8, 3), ("uniform", "uamm"), 32))   # resets in some blocks only
 def test_rate_point_tallies_match_the_block_loop(clip):
     """Every tally field, the float residual bits and frame PSNRs included,
-    equals the block loop's exactly."""
+    equals the block loop's exactly. Every tally has a PSNR and at least
+    2 vector bits per block, so the report's means and rates are defined."""
     frames, rp, modes, delta_max = clip
     got = evaluation._run_rate_point(frames, rp, modes, delta_max)
     assert got == _per_block_rate_point(frames, rp, modes, delta_max)
+    for tally in got.values():
+        assert tally.mv_bits >= 2 * tally.blocks > 0
+        assert tally.frame_psnrs
 
 
 # ------------------------------------------------------------ decoder replay

@@ -54,11 +54,11 @@ def window_at(f, cy, cx):
 # ----------------------------------------------------------------- storage
 
 def test_empty_field_is_all_unavailable():
-    """A searched field holds vectors and distances only; its parameters,
-    unavailable everywhere, hold it and an empty window."""
+    """A searched field is its poc and its grid of vectors and distances;
+    its parameters, unavailable everywhere, hold it and an empty window."""
     f = MotionField.empty(3, 12, 8)
     assert [p.name for p in dataclasses.fields(MotionField)] == [
-        "poc", "width", "height", "mv", "ref_distance"]
+        "poc", "mv", "ref_distance"]
     assert f.mv.shape == (2, 3, 2)
     assert (f.ref_distance == 0).all()
     params = FieldParams.unavailable(f)
@@ -236,12 +236,12 @@ def _draw_vectors(draw, rng, f):
 
 @st.composite
 def _random_field_pair(draw):
-    """Two fields of one random size, often not a multiple of 4, filled by
-    ``_draw_vectors``, with a poc gap of 1-3."""
+    """A random pixel size (w, h), often not a multiple of 4, and two
+    fields of it filled by ``_draw_vectors``, with a poc gap of 1-3."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [_draw_vectors(draw, rng, MotionField.empty(poc, w, h))
-            for poc in (4, 4 + draw(st.integers(1, 3)))]
+    return (w, h), [_draw_vectors(draw, rng, MotionField.empty(poc, w, h))
+                    for poc in (4, 4 + draw(st.integers(1, 3)))]
 
 
 def _mixed_distance_pair():
@@ -255,7 +255,7 @@ def _mixed_distance_pair():
     curr.mv[...] = rng.integers(-200, 201, curr.mv.shape)
     curr.ref_distance[...] = 2
     curr.ref_distance[0, :2] = curr.mv[0, :2] = 0
-    return [prev, curr]
+    return (24, 20), [prev, curr]
 
 
 @given(_random_field_pair())
@@ -267,8 +267,9 @@ def test_derive_field_matches_the_per_cell_solve(pair):
     fallback, then ``UammParams.classify``. Each cell's window ends with
     its own vector over its ref distance t1: it is (that distance, t1) if
     the segments meet in time, t1 = ``curr.poc - prev.poc``, else (t1, t1),
-    and (0, 0) on a cell with no vector."""
-    prev, curr = pair
+    and (0, 0) on a cell with no vector. The center is clamped into the
+    drawn pixel size, so the grid's cell clamp must agree with it."""
+    (width, height), (prev, curr) = pair
     out = derive_field_params(curr, prev)
     for cy in range(curr.cells_y):
         for cx in range(curr.cells_x):
@@ -278,8 +279,8 @@ def test_derive_field_matches_the_per_cell_solve(pair):
                 mvx, mvy = (int(v) for v in curr.mv[cy, cx])
                 px = 4 * cx + 2 + div_round_half_away(mvx, 16)
                 py = 4 * cy + 2 + div_round_half_away(mvy, 16)
-                sy = min(max(py, 0), prev.height - 1) // 4
-                sx = min(max(px, 0), prev.width - 1) // 4
+                sy = min(max(py, 0), height - 1) // 4
+                sx = min(max(px, 0), width - 1) // 4
                 if prev.ref_distance[sy, sx] <= 0 or t1 != curr.poc - prev.poc:
                     solved = (div_round_half_away(mvx * P, t1),
                               div_round_half_away(mvy * P, t1), 0, 0)
@@ -297,11 +298,11 @@ def test_derive_field_matches_the_per_cell_solve(pair):
 
 @st.composite
 def _random_field_chain(draw):
-    """A ``_random_field_pair`` and a third field of its size, older than
-    both, filled by ``_draw_vectors``."""
-    prev, curr = draw(_random_field_pair())
+    """A ``_random_field_pair`` and a third field of its drawn pixel size,
+    older than both, filled by ``_draw_vectors``."""
+    (w, h), (prev, curr) = draw(_random_field_pair())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    older = MotionField.empty(draw(st.integers(0, prev.poc - 1)), prev.width, prev.height)
+    older = MotionField.empty(draw(st.integers(0, prev.poc - 1)), w, h)
     return _draw_vectors(draw, rng, older), prev, curr
 
 
@@ -430,8 +431,8 @@ def test_gather_params_clamps_an_out_of_frame_center(px, py):
 
 @st.composite
 def _random_inheritance(draw):
-    """Random parameters and windows of a field, a block inside it, and
-    vectors."""
+    """Random parameters and windows of a field of a random pixel size,
+    the size, a block inside it, and vectors."""
     w, h = draw(st.integers(4, 40)), draw(st.integers(4, 40))
     f = FieldParams.unavailable(MotionField.empty(0, w, h))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -458,15 +459,16 @@ def _random_inheritance(draw):
     # One of those vectors per sub-block, as (rows, cols) int64 planes.
     pick = rng.integers(0, len(mvs), (bh // 4, bw // 4))
     planes = np.array([(mv.x, mv.y) for mv in mvs], dtype=np.int64)[pick]
-    return f, BlockSpec(bx, by, bw, bh), mvs, planes
+    return f, (w, h), BlockSpec(bx, by, bw, bh), mvs, planes
 
 
 @given(_random_inheritance())
 def test_inherit_matches_the_displaced_center_cell(case):
     """The array gather, with one vector for the block or one per
     sub-block, and its scalar wrapper against the parameters and window
-    of the cell under each displaced, clamped sub-block center."""
-    f, block, mvs, planes = case
+    of the cell under each displaced sub-block center, clamped into the
+    drawn pixel size."""
+    f, (width, height), block, mvs, planes = case
     rows, cols = block.h // 4, block.w // 4
     rect = (block.x, block.y, block.w, block.h)
 
@@ -479,8 +481,8 @@ def test_inherit_matches_the_displaced_center_cell(case):
                 mvx, mvy = vectors[j, i].tolist()
                 px = block.x + 4 * i + 2 + div_round_half_away(mvx, 16)
                 py = block.y + 4 * j + 2 + div_round_half_away(mvy, 16)
-                grid[j].append((min(max(py, 0), f.field.height - 1) // 4,
-                                min(max(px, 0), f.field.width - 1) // 4))
+                grid[j].append((min(max(py, 0), height - 1) // 4,
+                                min(max(px, 0), width - 1) // 4))
         return grid
 
     def assert_gathered(gathered, cells):
