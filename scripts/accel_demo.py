@@ -30,7 +30,7 @@ BLOCK = 16
 SEARCH = 12
 
 SPEC = TrajectorySpec(start_x=32, start_y=0, v0x=16, v0y=0, ax=32, ay=16,
-                      patch_kind="noise", patch_seed=3,
+                      patch="noise", patch_seed=3,
                       background="flat", background_value=20)
 
 

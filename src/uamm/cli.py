@@ -36,19 +36,23 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--config", required=True, help="experiment config file")
     for name, (section, key) in FLAG_KEYS.items():
         predict.add_argument("--" + name.replace("_", "-"), help=f"replaces [{section}] {key}")
+    predict.set_defaults(func=cmd_predict)
 
     demo = sub.add_parser("demo-field", help="dump derived motion fields as CSV")
     demo.add_argument("--config", required=True, help="experiment config file")
     demo.add_argument("--out", help="replaces [output] dir")
+    demo.set_defaults(func=cmd_demo_field)
 
     bd = sub.add_parser("bd-rate", help="BD-rate of curve B against curve A")
     bd.add_argument("csv_a", help="anchor curve CSV with rate,psnr columns")
     bd.add_argument("csv_b", help="test curve CSV with rate,psnr columns")
+    bd.set_defaults(func=cmd_bd_rate)
 
     synth = sub.add_parser("synth", help="render a synthetic sequence to YUV")
     synth.add_argument("--spec", required=True,
                        help="config file with [input] and [trajectory]")
     synth.add_argument("--out", required=True, help="output .yuv path")
+    synth.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -119,18 +123,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "predict": cmd_predict,
-    "demo-field": cmd_demo_field,
-    "bd-rate": cmd_bd_rate,
-    "synth": cmd_synth,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

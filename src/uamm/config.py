@@ -24,16 +24,11 @@ class ConfigError(ValueError):
     """A configuration value is missing or malformed."""
 
 
-# The [trajectory] key of each TrajectorySpec field: its name, but for
-# ``patch``.
-_TRAJECTORY_KEYS = {f.name: "patch" if f.name == "patch_kind" else f.name
-                    for f in dataclasses.fields(TrajectorySpec)}
-
 # Every section and key of the format, whatever the input kind; anything
 # else is an error rather than a silently ignored typo.
 KNOWN_KEYS = {
     "input": {"kind", "width", "height", "frames", "name", "path"},
-    "trajectory": set(_TRAJECTORY_KEYS.values()),
+    "trajectory": {f.name for f in dataclasses.fields(TrajectorySpec)},
     "predict": {"block_size", "search_range", "delta_max", "modes"},
     "rate_points": {"labels", "block_sizes", "search_ranges"},
     "output": {"dir", "write_rd_curves"},
@@ -91,14 +86,14 @@ def _build(where: str, cls, **kwargs):
 
 
 def _parse_trajectory(parser: configparser.ConfigParser, seed: int) -> TrajectorySpec:
-    """The [trajectory] section: each TrajectorySpec field from its key, with
-    the field's type and default; texture seeds not given follow ``seed``."""
+    """The [trajectory] section: each TrajectorySpec field from its own key,
+    with the field's type and default; texture seeds not given follow ``seed``."""
     if not parser.has_section("trajectory"):
         raise ConfigError("[trajectory] section is required for synthetic input")
     types = typing.get_type_hints(TrajectorySpec)
     seeds = {"patch_seed": seed, "background_seed": seed + 1}
     return _build("[trajectory]", TrajectorySpec, **{
-        f.name: _get(parser, "trajectory", _TRAJECTORY_KEYS[f.name], types[f.name],
+        f.name: _get(parser, "trajectory", f.name, types[f.name],
                      seeds.get(f.name, f.default), "for synthetic input")
         for f in dataclasses.fields(TrajectorySpec)})
 

@@ -20,7 +20,7 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import IO, Optional
 
 import numpy as np
@@ -43,9 +43,6 @@ from .sequences import (
 )
 
 MODES = ("uniform", "uamm")
-
-REPORT_COLUMNS = ("sequence", "rate_point", "mode", "mean_sad",
-                  "pred_psnr_db", "rate_proxy", "corrected_pct")
 
 
 class BdRateError(ValueError):
@@ -138,7 +135,7 @@ class SequenceSource:
     def __post_init__(self):
         if self.frames < 2:
             raise ValueError(f"need at least 2 frames to predict, got {self.frames}")
-        if min(self.width, self.height) < 4 or self.width % 4 or self.height % 4:
+        if any(side < CELL_SIZE or side % CELL_SIZE for side in (self.width, self.height)):
             raise ValueError(f"frame dimensions must be positive multiples of 4, "
                              f"got {self.width}x{self.height}")
         if bool(self.path) == (self.trajectory is not None):
@@ -222,16 +219,12 @@ class ExperimentReport:
                        if r.mode == mode), key=lambda p: p.rate)
 
 
-def _signed_exp_golomb_bits(v):
-    """Length of the signed exp-Golomb code of ``v``, an int, or of each
-    entry of an int64 array; values must lie within +-2**52."""
-    scalar = isinstance(v, int)
-    if not scalar:
-        v = np.asarray(v, dtype=np.int64)
-    u = 2 * abs(v) - (v > 0)          # 2v - 1 for v > 0, -2v otherwise
+def _signed_exp_golomb_bits(v: np.ndarray) -> np.ndarray:
+    """Length of the signed exp-Golomb code of each entry of an int64
+    array; values must lie within +-2**52."""
+    u = 2 * np.abs(v) - (v > 0)       # 2v - 1 for v > 0, -2v otherwise
     # u + 1 = m * 2**e with 0.5 <= m < 1: e is its bit length, exact below 2**53.
-    bits = 2 * np.frexp(u + 1)[1] - 1
-    return int(bits) if scalar else bits
+    return 2 * np.frexp(u + 1)[1] - 1
 
 
 @dataclass
@@ -357,11 +350,9 @@ def _fmt(v: float) -> str:
 
 def write_report_csv(report: ExperimentReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    writer.writerow(f.name for f in fields(ReportRow))
     for r in report.rows:
-        writer.writerow([r.sequence, r.rate_point, r.mode, _fmt(r.mean_sad),
-                         _fmt(r.pred_psnr_db), _fmt(r.rate_proxy),
-                         _fmt(r.corrected_pct)])
+        writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(r))
 
 
 def write_bd_summary_csv(report: ExperimentReport, stream: IO[str]) -> None:

@@ -65,7 +65,7 @@ class BlockSpec:
     def __post_init__(self):
         if self.x < 0 or self.y < 0:
             raise ValueError(f"block origin ({self.x}, {self.y}) must be non-negative")
-        if self.w < 4 or self.h < 4 or self.w % 4 or self.h % 4:
+        if any(side < CELL_SIZE or side % CELL_SIZE for side in (self.w, self.h)):
             raise ValueError(f"block size {self.w}x{self.h} must be multiples of 4")
 
 
@@ -373,11 +373,17 @@ def _correct(raw: np.ndarray, init: np.ndarray, delta_max: int, th: int, tw: int
     ``raw`` is (..., rows, cols, 2); ``init`` broadcasts against it and
     holds each sub-block's block vector. Returns the corrected grids, in
     ``raw``'s dtype, and the clamped count of each tile before any reset,
-    (..., tiles_y, tiles_x) int64.
+    (..., tiles_y, tiles_x) int64. A band wider than max|raw| + max|init|
+    clamps nothing, so ``delta_max`` is capped there; a band edge that
+    would still leave int64 raises OverflowError instead of wrapping.
     """
     if delta_max < 0:
         raise ValueError(f"delta_max must be non-negative, got {delta_max}")
-    clamped = np.clip(raw, init - delta_max, init + delta_max)
+    reach = [max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (raw, init)]
+    delta = min(delta_max, sum(reach))
+    if reach[1] + delta > np.iinfo(np.int64).max:
+        raise OverflowError(f"band edge {reach[1] + delta} exceeds the signed 64-bit range")
+    clamped = np.clip(raw, init - delta, init + delta)
     changed = np.any(clamped != raw, axis=-1)
     count = _tile_sums(changed, th, tw)
     rows, cols = changed.shape[-2:]

@@ -112,7 +112,7 @@ class TrajectorySpec:
     ay: int = 0
     patch_width: int = 16
     patch_height: int = 16
-    patch_kind: str = "noise"
+    patch: str = "noise"
     patch_seed: int = 0
     patch_value: int = 200
     background: str = "flat"
@@ -122,10 +122,16 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.patch_width < 1 or self.patch_height < 1:
             raise ValueError("patch must be at least 1x1")
-        if self.patch_kind not in ("noise", "checker", "solid"):
-            raise ValueError(f"unknown patch kind {self.patch_kind!r}")
+        if self.patch not in ("noise", "checker", "solid"):
+            raise ValueError(f"unknown patch kind {self.patch!r}")
         if self.background not in ("flat", "noise", "ramp"):
             raise ValueError(f"unknown background {self.background!r}")
+        for name in ("patch_value", "background_value"):
+            if not 0 <= getattr(self, name) <= 255:
+                raise ValueError(f"{name} must be 0 to 255, got {getattr(self, name)}")
+        for name in ("patch_seed", "background_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def position(self, k: int) -> tuple[int, int]:
         """Exact patch position at frame k, in 1/16-pel units."""
@@ -137,10 +143,10 @@ class TrajectorySpec:
 
 def _make_patch(spec: TrajectorySpec) -> np.ndarray:
     h, w = spec.patch_height, spec.patch_width
-    if spec.patch_kind == "noise":
+    if spec.patch == "noise":
         rng = np.random.default_rng(spec.patch_seed)
         return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    if spec.patch_kind == "checker":
+    if spec.patch == "checker":
         yy, xx = np.indices((h, w))
         return np.where((yy // 2 + xx // 2) % 2 == 0, 220, 35).astype(np.uint8)
     return np.full((h, w), spec.patch_value, dtype=np.uint8)

@@ -148,7 +148,7 @@ def _footprint(pos, w_units, h_units):
 def test_accelerating_object_is_predicted_losslessly():
     """Ground-truth fields drive the refined mode to zero residual."""
     spec = TrajectorySpec(start_x=32, start_y=0, v0x=16, v0y=0, ax=32, ay=16,
-                          patch_kind="noise", patch_seed=3,
+                          patch="noise", patch_seed=3,
                           background="flat", background_value=20)
     start = time.perf_counter()
     frames, gt = synth_sequence(spec, 6, 64, 64)

@@ -1,5 +1,6 @@
 """Config parsing and the command line front end."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -149,14 +150,19 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
 
 
 def _undocumented(readme):
-    """The ``predict`` flags missing from README's "Command line" section,
-    then the config sections and keys missing from its "Config format"."""
+    """The subcommands (as ``uamm <name>``) and ``predict`` flags missing
+    from README's "Command line" section, then the config sections and
+    keys missing from its "Config format"."""
     def section(title):
         return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
     usage, spec = section("Command line"), section("Config format")
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    commands = ["uamm " + name for name in sub.choices]
     flags = ["--" + name.replace("_", "-") for name in FLAG_KEYS]
-    return ([f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", usage)]
+    return ([c for c in commands + flags
+             if not re.search(re.escape(c) + r"(?![\w-])", usage)]
             + [f"[{s}]" for s in KNOWN_KEYS if f"[{s}]" not in spec]
             + [f"[{s}] {k}" for s, keys in KNOWN_KEYS.items() for k in sorted(keys)
                if not re.search(rf"\b{k}\b", spec)])
@@ -165,8 +171,9 @@ def _undocumented(readme):
 def test_readme_documents_every_flag_and_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert _undocumented(readme) == []
-    # The check bites: a README that drops a flag or a key names it.
+    # The check bites: a README that drops a subcommand, a flag or a key names it.
     assert _undocumented(readme.replace("--seed", "--sd")) == ["--seed"]
+    assert _undocumented(readme.replace("uamm synth", "uamm")) == ["uamm synth"]
     assert _undocumented(readme.replace("write_rd_curves", "rd")) == [
         "[output] write_rd_curves"]
 
@@ -334,6 +341,10 @@ FAST = MINIMAL.replace("start_y = 16", "start_y = 16\nv0x = 64")
     pytest.param(FAST.replace("frames = 4", "frames = 6"), [], id="patch_leaves-file"),
     pytest.param(FAST, ["--frames", "6"], id="patch_leaves-flag"),
     pytest.param(MINIMAL, ["--frames", "abc"], id="frames_not_int-flag"),
+    pytest.param(MINIMAL + "background_value = 300\n", [], id="background_value-file"),
+    pytest.param(MINIMAL + "patch = solid\npatch_value = -5\n", [], id="patch_value-file"),
+    pytest.param(MINIMAL + "patch_seed = -1\n", [], id="patch_seed-file"),
+    pytest.param(MINIMAL + "\n[run]\nseed = -1\n", [], id="run_seed-file"),
 ])
 def test_predict_invalid_value_exits_2(tmp_path, capsys, text, flags):
     out = tmp_path / "out"
@@ -401,6 +412,21 @@ def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*/*")}
     assert written == PRESET_DIGESTS
+
+
+def test_predict_band_wider_than_any_vector_gap_clamps_nothing(tmp_path):
+    # A delta_max past int64 or at its edge reads like any band wider
+    # than every vector gap: nothing wraps, nothing is clamped.
+    reports = []
+    for delta_max in (10**6, 2**63 - 1, 10**20):
+        text = (PRESETS / "accel_sweep.ini").read_text().replace(
+            "search_range = 8", f"search_range = 8\ndelta_max = {delta_max}")
+        out = tmp_path / str(delta_max)
+        assert cli.main(["predict", "--config", write_ini(tmp_path, text),
+                         "--out", str(out), "--modes", "uamm"]) == 0
+        reports.append((out / "report.csv").read_text())
+    assert reports[1:] == reports[:1] * 2
+    assert reports[0].endswith(",0.0000\n")
 
 
 def test_accel_demo_predicts_the_accelerating_patch_exactly(capsys):

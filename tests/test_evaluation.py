@@ -50,7 +50,7 @@ def accel_source(name="accel", frames=4, size=32):
     return SequenceSource(
         name=name, width=size, height=size, frames=frames,
         trajectory=TrajectorySpec(start_x=64, start_y=64, v0x=16, v0y=0,
-                                  ax=4, ay=2, patch_kind="noise", patch_seed=1,
+                                  ax=4, ay=2, patch="noise", patch_seed=1,
                                   background="flat", background_value=30))
 
 
@@ -188,12 +188,13 @@ def test_signed_exp_golomb_code_lengths():
     for value, bits in expected.items():
         assert _signed_exp_golomb_bits(value) == bits
     assert _signed_exp_golomb_bits(np.array(list(expected))).tolist() == list(expected.values())
-    # One array call over every vector delta equals the int call on each.
+    # One array call over every vector delta equals the code length of its
+    # code number u, 2 * bitlen(u + 1) - 1, in Python ints.
     values = np.arange(-2 * MV_MAX, 2 * MV_MAX + 1)
     got = _signed_exp_golomb_bits(values)
     assert got.shape == values.shape
-    assert got.tolist() == [_signed_exp_golomb_bits(v) for v in values.tolist()]
-    assert all(type(_signed_exp_golomb_bits(v)) is int for v in (0, -5, 2 * MV_MAX))
+    assert got.tolist() == [2 * (2 * abs(v) - (v > 0) + 1).bit_length() - 1
+                            for v in values.tolist()]
 
 
 # ------------------------------------------------------------------- config
@@ -261,7 +262,7 @@ def test_experiment_static_scene_ties_the_modes(tmp_path):
     src = SequenceSource(
         name="still", width=32, height=32, frames=5,
         trajectory=TrajectorySpec(start_x=32, start_y=16, v0x=0, v0y=0,
-                                  ax=0, ay=0, patch_kind="noise",
+                                  ax=0, ay=0, patch="noise",
                                   patch_seed=5, background="flat",
                                   background_value=20))
     report = run_experiment(make_config(tmp_path, src))
@@ -301,7 +302,7 @@ def test_experiment_acceleration_engages_the_correction(tmp_path):
 
 def test_experiment_reads_yuv_sources(tmp_path):
     spec = TrajectorySpec(start_x=16, start_y=16, v0x=16, v0y=0, ax=2, ay=0,
-                          patch_kind="checker", background="ramp")
+                          patch="checker", background="ramp")
     frames, _ = synth_sequence(spec, 4, 32, 32)
     path = tmp_path / "clip.yuv"
     write_yuv(frames, str(path))

@@ -687,6 +687,46 @@ def test_correct_zero_band_forces_the_initial_vector():
     assert np.all(out == np.array([12, 0]))
 
 
+def _band_rule(grid, init, delta_max):
+    """The band rule in Python ints: clamp each component into init +-
+    delta_max, and reset to init if more than half the grid moved."""
+    clamped = [[[min(max(c, i - delta_max), i + delta_max) for c, i in zip(mv, init)]
+                for mv in row] for row in grid]
+    count = sum(c != list(mv) for row_c, row in zip(clamped, grid) for c, mv in zip(row_c, row))
+    if 2 * count > sum(len(row) for row in grid):
+        clamped = [[list(init)] * len(row) for row in grid]
+    return clamped, count
+
+
+@st.composite
+def _band_cases(draw):
+    init = draw(st.tuples(st.integers(-MV_MAX, MV_MAX), st.integers(-MV_MAX, MV_MAX)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    offset = st.one_of(st.integers(-64, 64), st.integers(-2**40, 2**40))
+    grid = [[(init[0] + draw(offset), init[1] + draw(offset)) for _ in range(cols)]
+            for _ in range(rows)]
+    delta_max = draw(st.sampled_from([0, 1, 32, 10**6, 2**62, 2**63 - 1, 10**20]))
+    return grid, init, delta_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_cases())
+@example(([[(20, 0)]], (16, 0), 2**63 - 1))
+@example(([[(20, 0)]], (16, 0), 10**20))
+def test_correct_matches_the_band_rule_at_any_delta_max(case):
+    # A band wider than every vector gap clamps nothing, however wide:
+    # no band edge may wrap in int64.
+    grid, init, delta_max = case
+    out, count = correct_mvs(np.array(grid, dtype=np.int64), MotionVector(*init), delta_max)
+    assert (out.tolist(), count) == _band_rule(grid, init, delta_max)
+
+
+def test_correct_band_edge_outside_int64_raises():
+    grid = np.array([[[2**63 - 1, 0]]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        correct_mvs(grid, MotionVector(16, 0), 2**63 - 1)
+
+
 def test_correct_validates_arguments():
     grid = grid_of((0, 0), (0, 0), (0, 0), (0, 0))
     with pytest.raises(ValueError):
@@ -789,7 +829,7 @@ def test_uamm_linear_field_scales_like_tmvp():
 
 def test_uamm_recovers_the_accelerating_object():
     spec = TrajectorySpec(start_x=32, start_y=0, v0x=16, v0y=0, ax=32, ay=16,
-                          patch_kind="noise", patch_seed=3,
+                          patch="noise", patch_seed=3,
                           background="flat", background_value=20)
     frames, gt = synth_sequence(spec, 6, 64, 64)
     k = 3

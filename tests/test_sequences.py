@@ -157,7 +157,7 @@ def test_odd_acceleration_is_rejected():
 
 def test_integer_pel_rendering_is_an_exact_patch_copy():
     spec = TrajectorySpec(start_x=32, start_y=16, v0x=32, v0y=16,
-                          patch_width=8, patch_height=8, patch_kind="noise",
+                          patch_width=8, patch_height=8, patch="noise",
                           patch_seed=5, background="flat", background_value=30)
     frames, _ = synth_sequence(spec, 4, 64, 64)
     patch0 = frames[0].luma[1:9, 2:10]
@@ -169,7 +169,7 @@ def test_integer_pel_rendering_is_an_exact_patch_copy():
 
 def test_subpel_start_widens_the_footprint():
     spec = TrajectorySpec(start_x=40, start_y=16, patch_width=8, patch_height=8,
-                          patch_kind="solid", patch_value=250,
+                          patch="solid", patch_value=250,
                           background="flat", background_value=0)
     frames, _ = synth_sequence(spec, 1, 32, 32)
     row = frames[0].luma[2]
@@ -179,14 +179,14 @@ def test_subpel_start_widens_the_footprint():
 
 
 def test_patch_and_background_textures():
-    checker = TrajectorySpec(start_x=0, start_y=0, patch_kind="checker",
+    checker = TrajectorySpec(start_x=0, start_y=0, patch="checker",
                              patch_width=8, patch_height=8, background="ramp")
     frames, _ = synth_sequence(checker, 1, 32, 16)
     luma = frames[0].luma
     assert luma[0, 0] == 220 and luma[0, 2] == 35  # checker cells are 2 px
     assert list(luma[12, 8:12]) == [8, 9, 10, 11]  # ramp outside the patch
 
-    solid = TrajectorySpec(start_x=0, start_y=0, patch_kind="solid",
+    solid = TrajectorySpec(start_x=0, start_y=0, patch="solid",
                            patch_value=99, patch_width=4, patch_height=4)
     frames, _ = synth_sequence(solid, 1, 16, 16)
     assert np.all(frames[0].luma[:4, :4] == 99)
@@ -194,10 +194,21 @@ def test_patch_and_background_textures():
 
 def test_trajectory_spec_validation():
     with pytest.raises(ValueError):
-        TrajectorySpec(start_x=0, start_y=0, patch_kind="plasma")
+        TrajectorySpec(start_x=0, start_y=0, patch="plasma")
     with pytest.raises(ValueError):
         TrajectorySpec(start_x=0, start_y=0, background="stars")
     with pytest.raises(ValueError):
         TrajectorySpec(start_x=0, start_y=0, patch_width=0)
     with pytest.raises(ValueError):
         synth_sequence(TrajectorySpec(start_x=0, start_y=0), 0, 16, 16)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("patch_value", -5), ("patch_value", 256), ("background_value", 300),
+    ("patch_seed", -1), ("background_seed", -1),
+])
+def test_trajectory_spec_rejects_out_of_range_levels_and_seeds(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrajectorySpec(start_x=0, start_y=0, **{name: value})
+    # 0 is in range for all four
+    TrajectorySpec(start_x=0, start_y=0, **{name: 0})
