@@ -11,6 +11,11 @@ previous field, and where a vector there ends where this one starts, it
 supplies the earlier displacement segment and the two-segment solver runs
 on the pair. Cells whose chain breaks degrade to a linear model; cells
 with a zero ref distance hold no vector and stay unavailable.
+
+Derivation and inheritance read the cells of a field by one flat index,
+``cy * cells_x + cx``. Derivation solves, and the CSV dump formats, a
+chunk of whole cell rows at a time, so neither holds temporaries that
+grow with the field.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ _KIND = _CSV_COLUMNS.index("kind")
 # Bytes of the text block one dump_field_csv chunk formats (whole cell rows,
 # at least one); its mask, values and compress indices take about 9x more.
 _DUMP_BYTES = 64 * 1024
+# Cells one derive_field_params chunk solves (whole cell rows, at least one).
+_DERIVE_CELLS = 4096
 
 
 @dataclass
@@ -103,17 +110,22 @@ def field_from_global_mv(
 
 
 def _displaced_cells(field: MotionField, x: int, y: int, w: int, h: int, mvx, mvy):
-    """Index pair (cy, cx) into ``field``'s planes, [row, col] over the 4x4
-    cells of the pixel rect (x, y, w, h): each cell center moved by the
-    vector rounded to integer pixels, its cell clamped into the grid: the
-    cell of the nearest frame pixel. (mvx, mvy) is one pair of ints, or
-    one pair of (rows, cols) planes."""
+    """Flat index ``cy * cells_x + cx`` into ``field``'s planes, [row, col]
+    over the 4x4 cells of the pixel rect (x, y, w, h): each cell center
+    moved by the vector rounded to integer pixels, its cell clamped into
+    the grid: the cell of the nearest frame pixel. (mvx, mvy) is one pair
+    of ints, or one pair of (rows, cols) planes."""
     cx = (np.arange(x + CELL_SIZE // 2, x + w, CELL_SIZE)
           + div_round_half_away(mvx, MV_UNITS_PER_PEL)) // CELL_SIZE
     cy = (np.arange(y + CELL_SIZE // 2, y + h, CELL_SIZE)[:, None]
           + div_round_half_away(mvy, MV_UNITS_PER_PEL)) // CELL_SIZE
-    return (np.minimum(np.maximum(cy, 0), field.cells_y - 1),
-            np.minimum(np.maximum(cx, 0), field.cells_x - 1))
+    return (np.minimum(np.maximum(cy, 0), field.cells_y - 1) * field.cells_x
+            + np.minimum(np.maximum(cx, 0), field.cells_x - 1))
+
+
+def _take(plane: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The entries of a [cy, cx, ...] plane at flat cell indices ``cells``."""
+    return plane.reshape(-1, *plane.shape[2:]).take(cells, axis=0)
 
 
 def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:
@@ -126,27 +138,36 @@ def derive_field_params(curr: MotionField, prev: MotionField) -> FieldParams:
     completes the two-segment derivation over the window (its ref
     distance, t1); otherwise the cell falls back to a linear model with
     the velocity that reproduces its own vector, over (t1, t1). The whole
-    grid is solved in one array pass.
+    grid is solved a chunk of whole cell rows at a time, at most
+    ``_DERIVE_CELLS`` cells (and at least one row) per chunk, so the
+    temporaries stay flat in the field size. A cell without a vector
+    solves a zero vector over (1, 1), which gives exactly zero parameters,
+    and is written UNAVAILABLE over the window (0, 0).
     """
     if curr.poc <= prev.poc:
         raise ValueError(f"need curr.poc > prev.poc, got {curr.poc} <= {prev.poc}")
 
-    valid = curr.ref_distance > 0
-    src = tuple(c[valid] for c in _displaced_cells(
-        prev, 0, 0, curr.cells_x * CELL_SIZE, curr.cells_y * CELL_SIZE,
-        curr.mv[..., 0], curr.mv[..., 1]))
-    t1 = curr.ref_distance[valid]
-    chained = (prev.ref_distance[src] > 0) & (t1 == curr.poc - prev.poc)
-    mv1 = curr.mv[valid]
-    # A broken chain repeats the cell's own segment (mv0 = mv1, t0 = t1): the
-    # solve is then exactly zero acceleration and velocity mv1/t1, rounded once.
-    mv0 = np.where(chained[:, None], prev.mv[src], mv1)
-    t0 = np.where(chained, prev.ref_distance[src], t1)
-    solved = _derive_scaled(mv0[:, 0], mv0[:, 1], mv1[:, 0], mv1[:, 1], t0, t1)
     out = FieldParams.unavailable(curr)
-    out.v0[valid, 0], out.v0[valid, 1], out.acc[valid, 0], out.acc[valid, 1] = solved
-    out.t0[valid] = t0
-    out.kind[valid] = param_kind(*solved)
+    gap, width = curr.poc - prev.poc, curr.cells_x * CELL_SIZE
+    rows = max(1, min(curr.cells_y, _DERIVE_CELLS // curr.cells_x))
+    for r0 in range(0, curr.cells_y, rows):
+        chunk = slice(r0, min(r0 + rows, curr.cells_y))
+        valid = curr.ref_distance[chunk] > 0
+        mv1 = curr.mv[chunk] * valid[..., None]
+        t1 = np.where(valid, curr.ref_distance[chunk], 1)
+        src = _displaced_cells(prev, 0, r0 * CELL_SIZE, width, len(valid) * CELL_SIZE,
+                               mv1[..., 0], mv1[..., 1])
+        t0 = _take(prev.ref_distance, src)
+        chained = valid & (t0 > 0) & (t1 == gap)
+        # A broken chain repeats the cell's own segment (mv0 = mv1, t0 = t1): the
+        # solve is then exactly zero acceleration and velocity mv1/t1, rounded once.
+        mv0 = np.where(chained[..., None], _take(prev.mv, src), mv1)
+        t0 = np.where(chained, t0, t1)
+        solved = _derive_scaled(mv0[..., 0], mv0[..., 1], mv1[..., 0], mv1[..., 1], t0, t1)
+        (out.v0[chunk, :, 0], out.v0[chunk, :, 1],
+         out.acc[chunk, :, 0], out.acc[chunk, :, 1]) = solved
+        out.t0[chunk] = t0 * valid
+        out.kind[chunk] = param_kind(*solved) * valid
     return out
 
 
@@ -164,8 +185,8 @@ def gather_params(params: FieldParams, x: int, y: int, w: int, h: int, mvx, mvy
     window, (rows, cols) int64 ``t0`` and the cells' int32 ref distances.
     """
     cells = _displaced_cells(params.field, x, y, w, h, mvx, mvy)
-    return tuple(p[cells] for p in (params.v0, params.acc, params.kind, params.t0,
-                                    params.field.ref_distance))
+    return tuple(_take(p, cells) for p in (params.v0, params.acc, params.kind,
+                                           params.t0, params.field.ref_distance))
 
 
 def inherit_params(

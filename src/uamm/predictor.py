@@ -43,6 +43,7 @@ from .kinematics import (
     ParamKind,
     TimeInterval,
     _extrapolate_scaled,
+    _max_abs,
 )
 from .motion_field import CELL_SIZE, FieldParams, MotionField, gather_params
 # Unused here: perfbench/traced_cli.py patches both names on this module.
@@ -379,7 +380,7 @@ def _correct(raw: np.ndarray, init: np.ndarray, delta_max: int, th: int, tw: int
     """
     if delta_max < 0:
         raise ValueError(f"delta_max must be non-negative, got {delta_max}")
-    reach = [max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in (raw, init)]
+    reach = [_max_abs(raw), _max_abs(init)]
     delta = min(delta_max, sum(reach))
     if reach[1] + delta > np.iinfo(np.int64).max:
         raise OverflowError(f"band edge {reach[1] + delta} exceeds the signed 64-bit range")

@@ -185,14 +185,16 @@ def trajectory_positions(
             "acceleration must be even in 1/16-pel units so every frame "
             "stays on the 1/16-pel grid"
         )
-    positions = [spec.position(k) for k in range(n_frames)]
-    for k, pos in enumerate(positions):
+    positions = []
+    for k in range(n_frames):
+        pos = spec.position(k)
         fx, fy, fw, fh = _footprint(pos, spec.patch_width, spec.patch_height)
         if fx < 0 or fy < 0 or fx + fw > width or fy + fh > height:
             raise ValueError(
                 f"object leaves the {width}x{height} frame at frame {k} "
                 f"(footprint {fw}x{fh} at pixel ({fx}, {fy}))"
             )
+        positions.append(pos)
     return positions
 
 

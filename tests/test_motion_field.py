@@ -296,6 +296,60 @@ def test_derive_field_matches_the_per_cell_solve(pair):
             assert window_at(out, cy, cx) == window
 
 
+_assert_matches_the_per_cell_solve = test_derive_field_matches_the_per_cell_solve.hypothesis.inner_test
+
+
+def _seeded_pair(w, h, seed, empty_mv=None):
+    """A w x h px pair, poc 4 then 5, with ref distances 0-3 on both sides,
+    so chains break or meet, and vectors of up to 6 pels or up to +-MV_MAX.
+    ``empty_mv`` fills the vectors of the cells without a distance."""
+    rng = np.random.default_rng(seed)
+    pair = [MotionField.empty(poc, w, h) for poc in (4, 5)]
+    for f in pair:
+        f.ref_distance[...] = rng.integers(0, 4, f.ref_distance.shape)
+        limit = rng.choice([96, MV_MAX], f.ref_distance.shape)[..., None]
+        f.mv[...] = rng.integers(-limit, limit + 1, f.mv.shape)
+        if empty_mv is not None:
+            empty = f.ref_distance == 0
+            f.mv[empty] = rng.choice([-empty_mv, empty_mv], (empty.sum(), 2))
+    return (w, h), pair
+
+
+@pytest.mark.parametrize("chunk", [lambda cx: 1, lambda cx: 7, lambda cx: cx - 1,
+                                   lambda cx: cx + 1],
+                         ids=["1", "7", "cells_x-1", "cells_x+1"])
+@pytest.mark.parametrize("pair", [
+    _seeded_pair(9, 61, 0), _seeded_pair(37, 23, 1), _seeded_pair(13, 45, 2),
+    _mixed_distance_pair(), _seeded_pair(21, 30, 3, empty_mv=2**30),
+], ids=["9x61", "37x23", "13x45", "mixed_distance", "empty_cells_2**30"])
+def test_derive_field_matches_the_per_cell_solve_across_chunks(monkeypatch, chunk, pair):
+    """Chunks of one cell, of a few cells spanning rows, and of one cell
+    less or more than a row, on fields several chunks high whose last chunk
+    may be partial. Vectors of +-2**30 in cells without a distance must
+    reach neither the solve nor the parameters."""
+    monkeypatch.setattr(motion_field, "_DERIVE_CELLS", chunk(pair[1][1].cells_x))
+    _assert_matches_the_per_cell_solve(pair)
+
+
+@pytest.mark.parametrize("size", [512, 2048])
+def test_derive_field_memory_stays_flat(size):
+    """The derivation's traced peak, less the parameters it returns, stays
+    under 1 MiB whatever the field's size."""
+    rng = np.random.default_rng(size)
+    prev, curr = (MotionField.empty(poc, size, size) for poc in (1, 2))
+    for f in (prev, curr):
+        f.mv[...] = rng.integers(-300, 301, f.mv.shape)
+        f.ref_distance[...] = 1
+    tracemalloc.start()
+    try:
+        out = derive_field_params(curr, prev)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained <= 1 << 20
+    assert (out.kind == ParamKind.ACCELERATED).any()
+
+
 @st.composite
 def _random_field_chain(draw):
     """A ``_random_field_pair`` and a third field of its drawn pixel size,

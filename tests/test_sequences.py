@@ -1,5 +1,7 @@
 """YUV I/O round-trips and the synthetic constant-acceleration generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from uamm import (
     synth_sequence,
     write_yuv,
 )
+from uamm.sequences import trajectory_positions
 
 
 def random_frame(rng, poc, w, h):
@@ -143,6 +146,20 @@ def test_object_leaving_the_frame_is_rejected():
     with pytest.raises(ValueError) as err:
         synth_sequence(spec, 4, 32, 32)
     assert "frame" in str(err.value)
+
+
+def test_object_leaving_the_frame_is_rejected_before_later_frames_are_built():
+    """The first frame that leaves raises at once: a long sequence costs
+    no memory for the frames after it."""
+    spec = TrajectorySpec(start_x=64, start_y=64, v0x=16, ax=4, ay=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="leaves the 64x64 frame at frame 16 "):
+            trajectory_positions(spec, 200_000, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_odd_acceleration_is_rejected():
