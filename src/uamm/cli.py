@@ -64,7 +64,7 @@ def cmd_predict(args) -> int:
               f"mean_sad={row.mean_sad:.2f} psnr={row.pred_psnr_db:.3f} "
               f"rate={row.rate_proxy:.1f} corrected={row.corrected_pct:.2f}%")
     for name, value in report.bd_summary:
-        shown = "NA" if value is None else f"{value:+.3f}%"
+        shown = f"{value:+.3f}%" if isinstance(value, float) else f"NA ({value})"
         print(f"{name}: bd-rate (uamm vs uniform) = {shown}")
     print(f"report written to {cfg.output_dir}")
     return 0

@@ -37,9 +37,9 @@ from .predictor import (
 from .sequences import (
     FrameBuffer,
     TrajectorySpec,
+    _check_trajectory,
     read_yuv,
     synth_sequence,
-    trajectory_positions,
 )
 
 MODES = ("uniform", "uamm")
@@ -141,7 +141,7 @@ class SequenceSource:
         if bool(self.path) == (self.trajectory is not None):
             raise ValueError("a sequence needs a path or a trajectory, exactly one")
         if self.trajectory is not None:
-            trajectory_positions(self.trajectory, self.frames, self.width, self.height)
+            _check_trajectory(self.trajectory, self.frames, self.width, self.height)
 
     def load(self) -> list[FrameBuffer]:
         if self.path:
@@ -211,7 +211,8 @@ class ReportRow:
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
-    bd_summary: list[tuple[str, Optional[float]]] = field(default_factory=list)
+    # Per sequence, the BD-rate or, as a str, why there is none.
+    bd_summary: list[tuple[str, float | str]] = field(default_factory=list)
 
     def rd_curve(self, mode: str) -> list[RdPoint]:
         """The RD curve of ``mode``: one point per row of it, sorted by rate."""
@@ -337,11 +338,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _try_bd(curve_a: list[RdPoint], curve_b: list[RdPoint]) -> Optional[float]:
+def _try_bd(curve_a: list[RdPoint], curve_b: list[RdPoint]) -> float | str:
     try:
         return bd_rate(curve_a, curve_b)
-    except ValueError:      # BdRateError included
-        return None
+    except ValueError as exc:      # BdRateError included
+        return str(exc)
 
 
 def _fmt(v: float) -> str:
@@ -359,7 +360,7 @@ def write_bd_summary_csv(report: ExperimentReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["sequence", "bd_rate_pct"])
     for name, value in report.bd_summary:
-        writer.writerow([name, "NA" if value is None else _fmt(value)])
+        writer.writerow([name, _fmt(value) if isinstance(value, float) else "NA"])
 
 
 def _safe_name(name: str) -> str:

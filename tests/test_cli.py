@@ -1,6 +1,7 @@
 """Config parsing and the command line front end."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -412,6 +413,69 @@ def test_shipped_presets_reproduce_their_frozen_digests(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*/*")}
     assert written == PRESET_DIGESTS
+
+
+def test_predict_says_why_the_bd_rate_is_missing(tmp_path, capsys):
+    assert cli.main(["predict", "--config", str(PRESETS / "accel_sweep.ini"),
+                     "--out", str(tmp_path)]) == 0
+    assert ("accel: bd-rate (uamm vs uniform) = NA (curve_a is not monotonic: "
+            "psnr must increase with rate)") in capsys.readouterr().out.splitlines()
+    assert (tmp_path / "bd_summary.csv").read_text() == "sequence,bd_rate_pct\naccel,NA\n"
+
+
+NOISE_ON_NOISE = """\
+[input]
+kind = synth
+width = 32
+height = 32
+frames = 3
+
+[trajectory]
+start_x = 128
+start_y = 112
+v0x = 16
+ax = 2
+patch = noise
+background = noise
+
+[predict]
+block_size = 16
+search_range = 2
+"""
+
+
+def _names_numpy_random(node):
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names))
+    return False
+
+
+def test_no_run_imports_numpy_random(tmp_path):
+    # pytest and hypothesis import numpy.random themselves, so the commands
+    # run in a fresh interpreter.
+    root = PRESETS.parents[1]
+    spec, out = write_ini(tmp_path, NOISE_ON_NOISE), tmp_path / "out"
+    script = (
+        "import sys\n"
+        "from uamm import cli\n"
+        f"assert cli.main(['predict', '--config', {spec!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert cli.main(['synth', '--spec', {spec!r}, '--out', {str(out / 'c.yuv')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(_names_numpy_random(node) for node in ast.walk(tree)), path
 
 
 def test_predict_band_wider_than_any_vector_gap_clamps_nothing(tmp_path):

@@ -4,18 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uamm import (
     FrameBuffer,
     MotionVector,
+    SequenceSource,
     TrajectorySpec,
     read_yuv,
     synth_sequence,
     write_yuv,
 )
-from uamm.sequences import trajectory_positions
+from uamm.sequences import _check_trajectory, _footprint, _noise, trajectory_positions
 
 
 def random_frame(rng, poc, w, h):
@@ -162,6 +163,71 @@ def test_object_leaving_the_frame_is_rejected_before_later_frames_are_built():
     assert peak < 64 << 10
 
 
+def leave_by_loop(spec, n_frames, width, height):
+    """The per-frame check: the message for the first frame whose
+    footprint leaves the frame, or None."""
+    for k in range(n_frames):
+        fx, fy, fw, fh = _footprint(spec.position(k), spec.patch_width, spec.patch_height)
+        if fx < 0 or fy < 0 or fx + fw > width or fy + fh > height:
+            return (f"object leaves the {width}x{height} frame at frame {k} "
+                    f"(footprint {fw}x{fh} at pixel ({fx}, {fy}))")
+    return None
+
+
+@st.composite
+def axis_motions(draw, n_frames, side, patch):
+    """(start, v0, a) on one axis: the vertex of the parabola at, between
+    or near frames, and some frame exactly on or next to an edge of the
+    positions that keep the footprint inside, 0 and 16 * (side - patch)."""
+    half_a = draw(st.integers(-6, 6))
+    vertex = draw(st.integers(-2, n_frames + 2))
+    v0 = -half_a * (2 * vertex + draw(st.integers(0, 1))) + draw(st.integers(-2, 2))
+    k = draw(st.integers(0, n_frames - 1))
+    edge = draw(st.sampled_from([0, 16 * (side - patch)])) + draw(st.integers(-1, 1))
+    start = edge - (v0 * k + half_a * k * k)
+    return start + draw(st.sampled_from([0, 0, 0, 7, -23])), v0, 2 * half_a
+
+
+@st.composite
+def trajectories(draw):
+    n_frames = draw(st.integers(1, 40))
+    width, height = draw(st.integers(4, 48)), draw(st.integers(4, 48))
+    pw, ph = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    sx, vx, ax = draw(axis_motions(n_frames, width, pw))
+    sy, vy, ay = draw(axis_motions(n_frames, height, ph))
+    spec = TrajectorySpec(start_x=sx, start_y=sy, v0x=vx, v0y=vy, ax=ax, ay=ay,
+                          patch_width=pw, patch_height=ph)
+    return spec, n_frames, width, height
+
+
+@given(trajectories())
+@example((TrajectorySpec(start_x=64, start_y=64, v0x=16, ax=4, ay=2), 200, 64, 64))
+@example((TrajectorySpec(start_x=100, start_y=0, v0x=-40, ax=8), 30, 64, 64))  # 0 at vertex 5
+@example((TrajectorySpec(start_x=768, start_y=0, patch_width=16), 3, 64, 64))  # on the edge
+@example((TrajectorySpec(start_x=769, start_y=0, patch_width=16), 3, 64, 64))  # one past it
+@settings(max_examples=300)
+def test_closed_form_leave_check_matches_the_per_frame_loop(case):
+    spec, n_frames, width, height = case
+    want = leave_by_loop(spec, n_frames, width, height)
+    if want is None:
+        _check_trajectory(spec, n_frames, width, height)
+    else:
+        with pytest.raises(ValueError) as err:
+            _check_trajectory(spec, n_frames, width, height)
+        assert str(err.value) == want
+
+
+def test_a_static_patch_at_a_million_frames_is_checked_in_constant_memory():
+    spec = TrajectorySpec(start_x=256, start_y=256)
+    tracemalloc.start()
+    try:
+        SequenceSource("static", 64, 64, 10**6, trajectory=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
 def test_odd_acceleration_is_rejected():
     spec = TrajectorySpec(start_x=64, start_y=64, ax=1, patch_width=4,
                           patch_height=4)
@@ -229,3 +295,27 @@ def test_trajectory_spec_rejects_out_of_range_levels_and_seeds(name, value):
         TrajectorySpec(start_x=0, start_y=0, **{name: value})
     # 0 is in range for all four
     TrajectorySpec(start_x=0, start_y=0, **{name: 0})
+
+
+# ------------------------------------------------------------ noise textures
+
+@given(st.integers(0, 2**256),
+       st.one_of(st.integers(1, 17).map(lambda n: (n,)),
+                 st.sampled_from([(4095,), (65536,), (100003,)]),
+                 st.tuples(st.integers(1, 40), st.integers(1, 40))))
+@example(0, (1,))
+@example(1, (17,))
+@example(2**32 - 1, (4095,))
+@example(2**32, (3, 5))
+@example(2**64 + 5, (65536,))
+@example(2**200 + 3, (100003,))
+@settings(max_examples=60, deadline=None)
+def test_noise_is_numpys_pcg64_byte_stream(seed, shape):
+    n = int(np.prod(shape))
+    raw = np.random.PCG64(seed).random_raw(-(-n // 8))
+    stream = raw.astype("<u8").view(np.uint8)[:n].reshape(shape)
+    drawn = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    got = _noise(seed, shape)
+    assert got.dtype == np.uint8 and got.shape == shape
+    assert np.array_equal(got, stream)
+    assert np.array_equal(got, drawn)
