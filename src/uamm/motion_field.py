@@ -81,14 +81,14 @@ class MotionField:
 @dataclass
 class FieldParams:
     """Parameters derived for each cell of ``field`` (held, not copied),
-    indexed [cy, cx], each solved over its window: ``t0`` ticks, then the
-    cell's ``field.ref_distance``, both 0 where the kind is UNAVAILABLE."""
+    indexed [cy, cx], each solved over its window of int32 ticks: ``t0``,
+    then the cell's ``field.ref_distance``, both 0 where UNAVAILABLE."""
 
     field: MotionField
     v0: np.ndarray          # (cells_y, cells_x, 2) int64, scaled
     acc: np.ndarray         # (cells_y, cells_x, 2) int64, scaled
     kind: np.ndarray        # (cells_y, cells_x) uint8 ParamKind values
-    t0: np.ndarray          # (cells_y, cells_x) int64 ticks
+    t0: np.ndarray          # (cells_y, cells_x) int32 ticks
 
     @classmethod
     def unavailable(cls, field: MotionField) -> "FieldParams":
@@ -96,7 +96,7 @@ class FieldParams:
         cells = field.ref_distance.shape
         return cls(field, np.zeros((*cells, 2), dtype=np.int64),
                    np.zeros((*cells, 2), dtype=np.int64), np.zeros(cells, dtype=np.uint8),
-                   np.zeros(cells, dtype=np.int64))
+                   np.zeros(cells, dtype=np.int32))
 
 
 def field_from_global_mv(
@@ -182,7 +182,7 @@ def gather_params(params: FieldParams, x: int, y: int, w: int, h: int, mvx, mvy
     supplies the sub-block's parameters. Returns ``(v0, acc, kind, t0, t1)``
     indexed [row, col] over the sub-blocks: (rows, cols, 2) int64 twice,
     (rows, cols) uint8 ParamKind values (possibly UNAVAILABLE), then the
-    window, (rows, cols) int64 ``t0`` and the cells' int32 ref distances.
+    window ``t0``, ``t1``, (rows, cols) int32 ticks each.
     """
     cells = _displaced_cells(params.field, x, y, w, h, mvx, mvy)
     return tuple(_take(p, cells) for p in (params.v0, params.acc, params.kind,

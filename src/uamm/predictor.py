@@ -115,20 +115,17 @@ def _tile_sums(plane: np.ndarray, th: int, tw: int,
     """Sums of ``plane`` over th x tw tiles of its last two axes, int64.
 
     Tiles run from the top left corner; the last row and column of tiles
-    are clipped at the edges. Each tile's rows are added first as whole
-    row vectors (zero rows pad the last tile row) into exact partials:
-    uint16 or uint32 for a uint8 plane, int32 otherwise. The partials are
-    then added along x with ``np.add.reduceat``, into ``out`` if given.
+    are clipped at the edges. ``plane`` is uint8, a 0/1 mask its uint8 view.
+    Each tile's rows are added first as whole row vectors (zero rows pad
+    the last tile row) into exact uint16 or uint32 partials, then along x
+    with ``np.add.reduceat``, into ``out`` if given.
     """
     *lead, rows, cols = plane.shape
     tiles_y = -(-rows // th)
     if tiles_y * th > rows:
         pad = np.zeros((*lead, tiles_y * th - rows, cols), dtype=plane.dtype)
         plane = np.concatenate((plane, pad), axis=-2)
-    if plane.dtype != np.uint8:
-        acc = np.int32
-    else:
-        acc = np.uint16 if th <= _UINT16_ROWS else np.uint32
+    acc = np.uint16 if th <= _UINT16_ROWS else np.uint32
     part = np.add.reduce(plane.reshape(*lead, tiles_y, th, cols), axis=-2, dtype=acc)
     return np.add.reduceat(part, np.arange(0, cols, tw), axis=-1, dtype=np.int64, out=out)
 
@@ -386,9 +383,9 @@ def _correct(raw: np.ndarray, init: np.ndarray, delta_max: int, th: int, tw: int
         raise OverflowError(f"band edge {reach[1] + delta} exceeds the signed 64-bit range")
     clamped = np.clip(raw, init - delta, init + delta)
     changed = np.any(clamped != raw, axis=-1)
-    count = _tile_sums(changed, th, tw)
+    count = _tile_sums(changed.view(np.uint8), th, tw)
     rows, cols = changed.shape[-2:]
-    reset = count * 2 > _tile_sums(np.ones((rows, cols), dtype=np.int32), th, tw)
+    reset = count * 2 > _tile_sums(np.ones((rows, cols), dtype=np.uint8), th, tw)
     reset = reset[..., np.arange(rows)[:, None] // th, np.arange(cols) // tw]
     out = np.where(reset[..., None], init, clamped)
     return out.astype(raw.dtype), count
@@ -445,7 +442,7 @@ def _predict_blocks(ref: FrameBuffer, x: int, y: int, w: int, h: int, bh: int, b
                                      t0, t1, t2)
         raw = np.where(available[..., None], np.stack((ex, ey), axis=-1), mvs)
         sub, corrected = _correct(raw, mvs, delta_max, bh // CELL_SIZE, bw // CELL_SIZE)
-        refined = _tile_sums(available, bh // CELL_SIZE, bw // CELL_SIZE)
+        refined = _tile_sums(available.view(np.uint8), bh // CELL_SIZE, bw // CELL_SIZE)
     pred = sample_subblocks(ref.luma, x, y, w, h, sub)
     return FramePrediction(pred=pred, subblock_mvs=sub, corrected=corrected,
                            refined=refined > 0)

@@ -319,18 +319,6 @@ def _check_trajectory(spec: TrajectorySpec, n_frames: int, width: int, height: i
         )
 
 
-def trajectory_positions(
-    spec: TrajectorySpec, n_frames: int, width: int, height: int
-) -> list[tuple[int, int]]:
-    """The patch position at each of ``n_frames`` frames, in 1/16-pel units.
-
-    Raises ValueError where ``_check_trajectory`` does, before it builds
-    any position.
-    """
-    _check_trajectory(spec, n_frames, width, height)
-    return [spec.position(k) for k in range(n_frames)]
-
-
 def synth_sequence(
     spec: TrajectorySpec, n_frames: int, width: int, height: int
 ) -> tuple[list[FrameBuffer], list[MotionVector]]:
@@ -339,23 +327,25 @@ def synth_sequence(
     The returned vectors are position differences: ``mvs[k-1]`` is the
     displacement of the object from frame k-1 to frame k. Predictors that
     fetch the reference block use the negated value. Raises ValueError
-    where ``trajectory_positions`` does.
+    where ``_check_trajectory`` does, before any frame is rendered.
     """
-    positions = trajectory_positions(spec, n_frames, width, height)
+    _check_trajectory(spec, n_frames, width, height)
     background = _make_background(spec, width, height)
     w, h = spec.patch_width, spec.patch_height
-    ix, iy, _, _ = _footprint(positions[0], w, h)
+    ix, iy, _, _ = _footprint(spec.position(0), w, h)
     picture = background.copy()
     picture[iy:iy + h, ix:ix + w] = _make_patch(spec)
-    anchor = (ix * MV_UNITS_PER_PEL, iy * MV_UNITS_PER_PEL)
+    before = (ix * MV_UNITS_PER_PEL, iy * MV_UNITS_PER_PEL)
 
-    frames = []
-    for k, (before, pos) in enumerate(zip([anchor] + positions, positions)):
+    frames, mvs = [], []
+    for k in range(n_frames):
+        pos = spec.position(k)
         rx, ry, rw, rh = _footprint(pos, w, h)
         luma = background.copy()
         luma[ry:ry + rh, rx:rx + rw] = sample_block(
             picture, rx, ry, rw, rh, (before[0] - pos[0], before[1] - pos[1]))
         frames.append(FrameBuffer(poc=k, luma=luma))
-        picture = luma
-    mvs = [MotionVector(b[0] - a[0], b[1] - a[1]) for a, b in zip(positions, positions[1:])]
+        if k:
+            mvs.append(MotionVector(pos[0] - before[0], pos[1] - before[1]))
+        picture, before = luma, pos
     return frames, mvs

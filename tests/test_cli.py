@@ -307,6 +307,21 @@ def test_predict_missing_config_exits_2(tmp_path, capsys):
     assert "gone.ini" in capsys.readouterr().err
 
 
+def test_predict_failed_allocation_exits_1(tmp_path, capsys, monkeypatch):
+    """A frame too large for memory (say 4000000000x4) passes every config
+    check and fails in numpy's allocator: one error line, exit 1. The
+    failure is raised here, so the test allocates nothing."""
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                          "(4, 4000000000) and data type uint8")
+
+    monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+    rc = cli.main(["predict", "--config", write_ini(tmp_path, MINIMAL)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_predict_bad_mode_exits_2(tmp_path, capsys):
     cfg = write_ini(tmp_path, MINIMAL + "\n[predict]\nmodes = fast\n")
     rc = cli.main(["predict", "--config", cfg])

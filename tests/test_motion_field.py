@@ -124,6 +124,22 @@ def test_derive_uses_ref_distance_as_interval():
     assert window_at(out, 0, 0) == (1, 1)
 
 
+def test_derive_window_ticks_share_the_field_dtype():
+    """Every tick of a window is a ref distance, the previous field's
+    where the cell chains and its own where it does not, so ``t0`` is
+    stored, and gathered beside ``t1``, in the field's dtype."""
+    prev = global_field(1, 16, 16, 2, 0, ticks=2)
+    prev.ref_distance[:2] = 0                  # the top half breaks its chain
+    curr = global_field(2, 16, 16, 4, 0)
+    dtype = curr.ref_distance.dtype
+    out = derive_field_params(curr, prev)
+    assert {ParamKind(k) for k in out.kind.flat} == {ParamKind.LINEAR, ParamKind.ACCELERATED}
+    assert out.t0.dtype == FieldParams.unavailable(curr).t0.dtype == dtype
+    *_, t0, t1 = gather_params(out, 0, 0, 16, 16, 0, 0)
+    assert t0.dtype == t1.dtype == dtype
+    assert t0.tolist() == out.t0.tolist() == [[1] * 4] * 2 + [[2] * 4] * 2
+
+
 def test_derive_breaks_the_chain_on_an_empty_previous_cell():
     """A field at poc 4 with an 80-unit vector over 2 ticks, chained to an
     empty field at poc 3: 40 units a tick, over the window (2, 2)."""

@@ -492,7 +492,9 @@ def test_search_sums_stay_exact_past_the_uint16_row_bound():
     rows high, and a reference whose white rows end at row 261: a block of
     260 rows at offset dy sees min(260, 261 - dy) white rows, so the best
     offset, dy = 4, sums to 257 * 255 per column while dy = 3, at 258 rows,
-    would wrap to 254 in uint16 and win."""
+    would wrap to 254 in uint16 and win. 0/1 masks, passed as their uint8
+    views as the band rule passes them, sum by the same rules, over tiles
+    clipped at the bottom and right edges."""
     black = np.zeros((264, 264), dtype=np.uint8)
     white = np.full_like(black, 255)
     [field] = search_fields(frame(black, poc=1), frame(white), [260], 1)
@@ -503,6 +505,13 @@ def test_search_sums_stay_exact_past_the_uint16_row_bound():
         got = predictor._block_sads(black, white, th, 8)
         assert got.dtype == np.int64
         assert got.tolist() == _int64_tile_sads(black, white, th, 8)
+    random_mask = np.random.default_rng(5).random((301, 13)) < 0.5
+    for mask in (random_mask, np.ones((301, 13), dtype=bool)):
+        plane = mask.view(np.uint8)
+        for th, tw in ((4, 4), (257, 5), (258, 8), (300, 13), (300, 6)):
+            got = predictor._tile_sums(plane, th, tw)
+            assert got.dtype == np.int64
+            assert got.tolist() == _int64_tile_sads(plane, np.zeros_like(plane), th, tw)
     stairs = np.zeros((268, 4), dtype=np.uint8)
     stairs[:261] = 255
     mv = full_search_me(frame(np.zeros_like(stairs), poc=1), frame(stairs),

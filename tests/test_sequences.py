@@ -16,7 +16,7 @@ from uamm import (
     synth_sequence,
     write_yuv,
 )
-from uamm.sequences import _check_trajectory, _footprint, _noise, trajectory_positions
+from uamm.sequences import _check_trajectory, _footprint, _noise
 
 
 def random_frame(rng, poc, w, h):
@@ -156,7 +156,7 @@ def test_object_leaving_the_frame_is_rejected_before_later_frames_are_built():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="leaves the 64x64 frame at frame 16 "):
-            trajectory_positions(spec, 200_000, 64, 64)
+            synth_sequence(spec, 200_000, 64, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
