@@ -16,8 +16,8 @@ import sys
 from typing import Optional
 
 from .config import FLAG_KEYS, ConfigError, load_config
-from .evaluation import RdPoint, bd_rate, run_experiment
-from .motion_field import MotionField, derive_field_params, dump_field_csv
+from .evaluation import Decoder, RdPoint, bd_rate, run_experiment
+from .motion_field import dump_field_csv
 from .predictor import search_fields
 from .sequences import write_yuv
 
@@ -63,23 +63,24 @@ def cmd_predict(args) -> int:
         print(f"{row.sequence} rp={row.rate_point} {row.mode}: "
               f"mean_sad={row.mean_sad:.2f} psnr={row.pred_psnr_db:.3f} "
               f"rate={row.rate_proxy:.1f} corrected={row.corrected_pct:.2f}%")
-    for name, value in report.bd_summary:
+    if (value := report.bd_summary) is not None:
         shown = f"{value:+.3f}%" if isinstance(value, float) else f"NA ({value})"
-        print(f"{name}: bd-rate (uamm vs uniform) = {shown}")
+        print(f"{cfg.source.name}: bd-rate (uamm vs uniform) = {shown}")
     print(f"report written to {cfg.output_dir}")
     return 0
 
 
 def cmd_demo_field(args) -> int:
+    """Dump the parameters one ``Decoder`` derives as it advances over the
+    field of each frame after the first, searched at the [predict] point."""
     cfg = load_config(args.config, out=args.out)
     frames = cfg.source.load()
     os.makedirs(cfg.output_dir, exist_ok=True)
-    field = MotionField.empty(frames[0].poc, cfg.source.width, cfg.source.height)
+    decoder = Decoder(frames[0].poc, cfg.source.width, cfg.source.height)
     for k in range(1, len(frames)):
         searched = search_fields(frames[k], frames[k - 1], [cfg.point.block_size],
                                  cfg.point.search_range)
-        params = derive_field_params(searched[0], field)
-        field = params.field
+        params = decoder.advance(searched[0])
         path = os.path.join(cfg.output_dir, f"field_{k:04d}.csv")
         with open(path, "w") as fh:
             dump_field_csv(params, fh)

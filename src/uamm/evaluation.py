@@ -29,6 +29,7 @@ from .motion_field import CELL_SIZE, FieldParams, MotionField, derive_field_para
 from .predictor import (
     DEFAULT_DELTA_MAX,
     BlockSpec,
+    FramePrediction,
     _block_sads,
     _check_search_range,
     predict_frame,
@@ -195,6 +196,8 @@ class ExperimentConfig:
         labels = [rp.label for rp in self.rate_points]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate rate point labels: {labels}")
+        if self.output_dir == "":
+            raise ValueError("[output] dir must name a directory, got ''")
 
 
 @dataclass
@@ -211,8 +214,8 @@ class ReportRow:
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
-    # Per sequence, the BD-rate or, as a str, why there is none.
-    bd_summary: list[tuple[str, float | str]] = field(default_factory=list)
+    # uamm's BD-rate over uniform, why there is none as a str, or None.
+    bd_summary: float | str | None = None
 
     def rd_curve(self, mode: str) -> list[RdPoint]:
         """The RD curve of ``mode``: one point per row of it, sorted by rate."""
@@ -248,6 +251,29 @@ def _mv_bits(field: MotionField, block_size: int) -> int:
     return int(_signed_exp_golomb_bits(deltas).sum())
 
 
+class Decoder:
+    """What a decoder keeps between the frames of one rate point: the last
+    field it advanced over, at first an empty one at ``poc``, ``width`` x
+    ``height``, and the parameters derived for it, unavailable until then."""
+
+    def __init__(self, poc: int, width: int, height: int):
+        self.field = MotionField.empty(poc, width, height)
+        self.params: Optional[FieldParams] = None
+
+    def decode(self, ref: FrameBuffer, field: MotionField, block_size: int, mode: str,
+               delta_max: int) -> FramePrediction:
+        """``predict_frame`` of ``field`` from ``ref``; only uamm reads the held parameters."""
+        params = ((self.params or FieldParams.unavailable(self.field))
+                  if mode == "uamm" else None)
+        return predict_frame(ref, field, block_size, params, delta_max)
+
+    def advance(self, field: MotionField) -> FieldParams:
+        """Derive ``field``'s parameters chained into the held field; hold and return them."""
+        self.params = derive_field_params(field, self.field)
+        self.field = field
+        return self.params
+
+
 def _run_rate_points(
     frames: list[FrameBuffer], rate_points: tuple[RatePoint, ...],
     modes: tuple[str, ...], delta_max: int
@@ -255,20 +281,19 @@ def _run_rate_points(
     """Predict every frame after the first at every operating point.
 
     Frames run in order. Each frame is searched once per distinct search
-    range, for all rate points at that range, then predicted and scored
+    range, for all rate points at that range, then decoded and scored
     once per rate point and mode, every block at a time. Each rate point
-    keeps its own tallies, returned in rate point order, and the
-    parameters the uamm mode reads: those derived for the previous frame,
-    which hold its searched field for the next derivation, or, for the
-    first predicted frame, none. The tallies add the blocks in tiling order.
+    keeps its own tallies, returned in rate point order, and its own
+    ``Decoder``, which advances over a frame's field only when a later
+    frame's uamm mode reads the result. The tallies add the blocks in
+    tiling order.
     """
     tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
     by_range: dict[int, list[int]] = {}
     for i, rp in enumerate(rate_points):
         by_range.setdefault(rp.search_range, []).append(i)
 
-    empty = MotionField.empty(frames[0].poc, frames[0].width, frames[0].height)
-    derived = [FieldParams.unavailable(empty)] * len(rate_points)
+    decoders = [Decoder(frames[0].poc, frames[0].width, frames[0].height) for _ in rate_points]
     for k in range(1, len(frames)):
         src, ref = frames[k], frames[k - 1]
         searched: dict[int, MotionField] = {}
@@ -279,8 +304,7 @@ def _run_rate_points(
             field_k = searched[i]
             mv_bits = _mv_bits(field_k, rp.block_size)
             for m, tally in tallies[i].items():
-                frame = predict_frame(ref, field_k, rp.block_size,
-                                      derived[i] if m == "uamm" else None, delta_max)
+                frame = decoders[i].decode(ref, field_k, rp.block_size, m, delta_max)
                 sads = _block_sads(src.luma, frame.pred, rp.block_size,
                                    rp.block_size).ravel().tolist()
                 tally.sad_total += sum(sads)
@@ -291,9 +315,8 @@ def _run_rate_points(
                 tally.corrected += int(frame.corrected.sum())
                 tally.subblocks += frame.subblock_mvs[..., 0].size
                 tally.frame_psnrs.append(psnr(src.luma, frame.pred))
-            # Only the uamm mode of a later frame reads the parameters.
             if "uamm" in modes and k + 1 < len(frames):
-                derived[i] = derive_field_params(field_k, derived[i].field)
+                decoders[i].advance(field_k)
     return tallies
 
 
@@ -308,20 +331,22 @@ def _run_rate_point(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the sequence at every rate point in every mode.
 
-    Returns the report and, when an output directory is configured, writes
-    report.csv, bd_summary.csv and optional RD curve dumps there. Output
-    is a pure function of the config: no timestamps, stable ordering.
+    Returns the report and, when an output directory is configured, makes
+    it before any search and writes report.csv, bd_summary.csv and
+    optional RD curve dumps there. Output is a pure function of the
+    config: no timestamps, stable ordering.
     """
     report = ExperimentReport()
-    name = config.source.name
     frames = config.source.load()
+    if config.output_dir is not None:
+        os.makedirs(config.output_dir, exist_ok=True)
     runs = _run_rate_points(frames, config.rate_points, config.modes, config.delta_max)
     # Each tally has a frame of blocks, each block a vector of 2 bits or more.
     for rp, tallies in zip(config.rate_points, runs):
         for m in config.modes:
             t = tallies[m]
             report.rows.append(ReportRow(
-                sequence=name,
+                sequence=config.source.name,
                 rate_point=rp.label,
                 mode=m,
                 mean_sad=t.sad_total / t.blocks,
@@ -331,8 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             ))
 
     if "uniform" in config.modes and "uamm" in config.modes:
-        report.bd_summary.append(
-            (name, _try_bd(report.rd_curve("uniform"), report.rd_curve("uamm"))))
+        report.bd_summary = _try_bd(report.rd_curve("uniform"), report.rd_curve("uamm"))
 
     _maybe_write(config, report)
     return report
@@ -359,8 +383,9 @@ def write_report_csv(report: ExperimentReport, stream: IO[str]) -> None:
 def write_bd_summary_csv(report: ExperimentReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["sequence", "bd_rate_pct"])
-    for name, value in report.bd_summary:
-        writer.writerow([name, _fmt(value) if isinstance(value, float) else "NA"])
+    if (value := report.bd_summary) is not None:
+        writer.writerow([report.rows[0].sequence,
+                         _fmt(value) if isinstance(value, float) else "NA"])
 
 
 def _safe_name(name: str) -> str:
@@ -370,7 +395,6 @@ def _safe_name(name: str) -> str:
 def _maybe_write(config: ExperimentConfig, report: ExperimentReport) -> None:
     if config.output_dir is None:
         return
-    os.makedirs(config.output_dir, exist_ok=True)
     with open(os.path.join(config.output_dir, "report.csv"), "w") as fh:
         write_report_csv(report, fh)
     with open(os.path.join(config.output_dir, "bd_summary.csv"), "w") as fh:

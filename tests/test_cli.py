@@ -21,6 +21,7 @@ from uamm import (
     TrajectorySpec,
     bd_rate,
     cli,
+    evaluation,
     read_yuv,
     synth_sequence,
 )
@@ -395,6 +396,35 @@ def test_predict_missing_yuv_exits_2(tmp_path, capsys):
     assert "void.yuv" in capsys.readouterr().err
 
 
+def test_predict_meets_an_output_file_before_any_search(tmp_path, capsys, monkeypatch):
+    def search(*args):
+        raise AssertionError("searched before the output directory was made")
+
+    monkeypatch.setattr(evaluation, "search_fields", search)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = cli.main(["predict", "--config", write_ini(tmp_path, MINIMAL), "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["predict", "demo-field"])
+@pytest.mark.parametrize("text, flags", [
+    pytest.param(MINIMAL + "\n[output]\ndir =\n", [], id="file"),
+    pytest.param(MINIMAL, ["--out", ""], id="flag"),
+])
+def test_empty_output_dir_exits_2_at_load(tmp_path, capsys, monkeypatch, command, text, flags):
+    def load(source):
+        raise AssertionError("frames loaded for an empty output directory")
+
+    monkeypatch.setattr(evaluation.SequenceSource, "load", load)
+    rc = cli.main([command, "--config", write_ini(tmp_path, text), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[output] dir" in err and err.count("\n") == 1
+
+
 # sha256 of every file the shipped presets write. The outputs stay
 # byte-identical unless a change sets out to move them, and that change
 # records the new digests here.
@@ -597,6 +627,57 @@ def test_demo_field_reports_the_configured_acceleration(tmp_path):
     assert (cell["mvx"], cell["mvy"]) == ("-96", "0")
     assert (cell["v0x"], cell["ax"]) == ("-3072", "-2048")
     assert (cell["v0y"], cell["ay"]) == ("0", "0")
+
+
+# The frames and rate points of the benchmark's sweep_noise256, at 64x64.
+SWEEP = """\
+[input]
+kind = synth
+width = 64
+height = 64
+frames = 6
+
+[trajectory]
+start_x = 256
+start_y = 256
+v0x = 16
+v0y = 8
+ax = 4
+ay = 2
+patch = noise
+patch_width = 16
+patch_height = 16
+background = noise
+
+[predict]
+search_range = 8
+
+[rate_points]
+labels = 22, 27, 32, 37
+block_sizes = 8, 16, 32, 64
+"""
+
+
+@pytest.mark.parametrize("command, derived", [
+    pytest.param("predict", [k for k in range(1, 5) for _ in range(4)], id="predict"),
+    pytest.param("demo-field", [1, 2, 3, 4, 5], id="demo-field"),
+])
+def test_each_command_derives_only_the_parameters_it_reads(tmp_path, monkeypatch,
+                                                           command, derived):
+    """``predict`` derives, per frame and then per rate point, the fields
+    of every frame but the last, which no later frame reads: (frames - 2)
+    x rate points, 16 here as on sweep_noise256. ``demo-field`` dumps the
+    parameters of every frame after the first: frames - 1."""
+    pocs, derive = [], evaluation.derive_field_params
+
+    def counting(curr, prev):
+        pocs.append(curr.poc)
+        return derive(curr, prev)
+
+    monkeypatch.setattr(evaluation, "derive_field_params", counting)
+    assert cli.main([command, "--config", write_ini(tmp_path, SWEEP),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert pocs == derived
 
 
 # -------------------------------------------------------------- cli: bd-rate

@@ -1,5 +1,6 @@
 """Quality metrics, BD-rate, and the experiment driver."""
 
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -32,7 +33,7 @@ from uamm import (
 )
 from uamm import evaluation, predictor
 from uamm.config import load_config
-from uamm.evaluation import MODES, _ModeTally, _signed_exp_golomb_bits
+from uamm.evaluation import MODES, Decoder, _ModeTally, _signed_exp_golomb_bits
 from uamm.motion_field import CELL_SIZE
 from uamm.predictor import predict_uamm, predict_uniform
 
@@ -340,6 +341,20 @@ def test_experiment_uniform_only_derives_no_parameters(tmp_path, monkeypatch):
         ("a", "uniform"), ("b", "uniform")]
 
 
+@pytest.mark.parametrize("modes, value", [
+    (MODES, "curve_a must have exactly 4 points, got 2"),
+    (("uniform",), None),
+    (("uamm",), None),
+])
+def test_report_holds_one_bd_value(tmp_path, modes, value):
+    """The report's one BD value: the reason as a str when the curves do
+    not reduce, None when a mode is missing, and then no row is written."""
+    report = run_experiment(make_config(tmp_path, accel_source(), modes=modes))
+    assert report.bd_summary == value
+    rows = (tmp_path / "out" / "bd_summary.csv").read_text().splitlines()
+    assert rows == ["sequence,bd_rate_pct"] + (["accel,NA"] if value else [])
+
+
 def test_experiment_writes_rd_curves_on_request(tmp_path):
     cfg = make_config(tmp_path, accel_source("clip"), write_rd_curves=True)
     run_experiment(cfg)
@@ -503,6 +518,67 @@ def test_rate_point_tallies_match_the_block_loop(clip):
     for tally in got.values():
         assert tally.mv_bits >= 2 * tally.blocks > 0
         assert tally.frame_psnrs
+
+
+# ------------------------------------------------------------------ decoder
+
+@st.composite
+def _field_chain(draw):
+    """A drawn pixel size (w, h), often not a multiple of 4, and 1-4
+    fields of it, pocs 1-2 apart, each with vectors of up to 5 pels on a
+    random share of its cells and ref distances 1-2 there, so chains
+    meet in time or break."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chain, poc = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 4))):
+        poc += draw(st.integers(1, 2))
+        f = MotionField.empty(poc, w, h)
+        has_mv = rng.random(f.ref_distance.shape) < draw(st.sampled_from([0, 0.5, 0.9, 1]))
+        f.mv[...] = rng.integers(-80, 81, f.mv.shape) * has_mv[..., None]
+        f.ref_distance[...] = rng.integers(1, 3, f.ref_distance.shape) * has_mv
+        chain.append(f)
+    return (w, h), chain
+
+
+@given(_field_chain())
+def test_decoder_advance_derives_each_field_against_the_one_before(drawn):
+    """``advance`` over a chain of fields equals ``derive_field_params(f_k,
+    f_{k-1})`` plane for plane, with an empty field before the first."""
+    (w, h), chain = drawn
+    prev = MotionField.empty(chain[0].poc - 1, w, h)
+    decoder = Decoder(prev.poc, w, h)
+    for f in chain:
+        got, want = decoder.advance(f), derive_field_params(f, prev)
+        assert got is decoder.params and got.field is f
+        for plane in dataclasses.fields(FieldParams)[1:]:
+            a, b = getattr(got, plane.name), getattr(want, plane.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), plane.name
+        prev = f
+
+
+@pytest.mark.parametrize("delta_max", [0, 8, 32])
+def test_decoder_decode_is_predict_frame_with_the_held_parameters_in_uamm_only(delta_max):
+    """Uniform decodes without parameters and uamm with the held ones:
+    unavailable over an empty field before the first advance, then those
+    the last advance returned."""
+    frames = accel_source(frames=4).load()
+    decoder = Decoder(frames[0].poc, frames[0].width, frames[0].height)
+    held = FieldParams.unavailable(MotionField.empty(frames[0].poc, 32, 32))
+    refined = []
+    for k in range(1, len(frames)):
+        ref, bs = frames[k - 1], 8
+        [field_k] = search_fields(frames[k], ref, [bs], 3)
+        for mode, params in (("uniform", None), ("uamm", held)):
+            got = decoder.decode(ref, field_k, bs, mode, delta_max)
+            want = predictor.predict_frame(ref, field_k, bs, params, delta_max)
+            for plane in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, plane.name),
+                                      getattr(want, plane.name)), (k, mode, plane.name)
+            refined.append(got.refined.any())
+        held = decoder.advance(field_k)
+    # Only uamm on frames 2 and 3 reads parameters that refine a block.
+    assert refined == [False, False, False, True, False, True]
 
 
 # ------------------------------------------------------------ decoder replay
