@@ -117,6 +117,8 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.spec)
     if cfg.source.trajectory is None:
         raise ConfigError("[input] kind must be synth for the synth command")
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    open(args.out, "ab").close()    # an unwritable --out fails before rendering
     frames = cfg.source.load()
     write_yuv(frames, args.out)
     print(f"wrote {len(frames)} frames ({cfg.source.width}x{cfg.source.height}) "

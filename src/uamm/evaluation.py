@@ -254,7 +254,7 @@ def _mv_bits(field: MotionField, block_size: int) -> int:
 class Decoder:
     """What a decoder keeps between the frames of one rate point: the last
     field it advanced over, at first an empty one at ``poc``, ``width`` x
-    ``height``, and the parameters derived for it, unavailable until then."""
+    ``height``, and the parameters derived for it, None until then."""
 
     def __init__(self, poc: int, width: int, height: int):
         self.field = MotionField.empty(poc, width, height)
@@ -263,9 +263,8 @@ class Decoder:
     def decode(self, ref: FrameBuffer, field: MotionField, block_size: int, mode: str,
                delta_max: int) -> FramePrediction:
         """``predict_frame`` of ``field`` from ``ref``; only uamm reads the held parameters."""
-        params = ((self.params or FieldParams.unavailable(self.field))
-                  if mode == "uamm" else None)
-        return predict_frame(ref, field, block_size, params, delta_max)
+        return predict_frame(ref, field, block_size, self.params if mode == "uamm" else None,
+                             delta_max)
 
     def advance(self, field: MotionField) -> FieldParams:
         """Derive ``field``'s parameters chained into the held field; hold and return them."""
@@ -285,8 +284,8 @@ def _run_rate_points(
     once per rate point and mode, every block at a time. Each rate point
     keeps its own tallies, returned in rate point order, and its own
     ``Decoder``, which advances over a frame's field only when a later
-    frame's uamm mode reads the result. The tallies add the blocks in
-    tiling order.
+    frame's uamm mode reads the result; the first frame's uamm decode has
+    no parameters yet. The tallies add the blocks in tiling order.
     """
     tallies = [{m: _ModeTally() for m in modes} for _ in rate_points]
     by_range: dict[int, list[int]] = {}

@@ -74,14 +74,13 @@ class BlockSpec:
 class FramePrediction:
     """Everything one mode's reconstruction of a frame tiling produced.
 
-    Per-block arrays are indexed [row, col] over the tiling, which runs
-    row by row like the block vectors of ``search_fields``' fields.
+    ``corrected`` is indexed [row, col] over the tiling, which runs row by
+    row like the block vectors of ``search_fields``' fields.
     """
 
     pred: np.ndarray          # (height, width) uint8
     subblock_mvs: np.ndarray  # (cells_y, cells_x, 2) int64, 1/16-pel units
     corrected: np.ndarray     # (blocks_y, blocks_x) int64 clamped sub-blocks
-    refined: np.ndarray       # (blocks_y, blocks_x) bool: any sub-block inherited
 
 
 def _check_block_in_frame(frame: FrameBuffer, block: BlockSpec) -> None:
@@ -423,7 +422,8 @@ def _predict_blocks(ref: FrameBuffer, x: int, y: int, w: int, h: int, bh: int, b
     sub-block inherits the parameters of the cell its center lands on when
     displaced by its block vector, extrapolates them ``t2`` ticks past
     their window, falls back to the block vector where they are
-    unavailable and is corrected block by block (uamm). ``t2`` is an int,
+    unavailable and is corrected block by block (uamm); parameters
+    unavailable everywhere give the uniform result exactly. ``t2`` is an int,
     or an (h/4, w/4) plane of each cell's own distance, at least 1. One
     gather compensates every sub-block.
     """
@@ -432,7 +432,7 @@ def _predict_blocks(ref: FrameBuffer, x: int, y: int, w: int, h: int, bh: int, b
         raise ValueError(f"expected one vector per 4x4 cell of {w}x{h}, got {mvs.shape}")
     if ref_params is None:
         sub = mvs
-        corrected = refined = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
+        corrected = np.zeros((-(-h // bh), -(-w // bw)), dtype=np.int64)
     else:
         if np.min(t2) < 1:
             raise ValueError(f"interval t2 must be positive, got {np.min(t2)}")
@@ -442,10 +442,8 @@ def _predict_blocks(ref: FrameBuffer, x: int, y: int, w: int, h: int, bh: int, b
                                      t0, t1, t2)
         raw = np.where(available[..., None], np.stack((ex, ey), axis=-1), mvs)
         sub, corrected = _correct(raw, mvs, delta_max, bh // CELL_SIZE, bw // CELL_SIZE)
-        refined = _tile_sums(available.view(np.uint8), bh // CELL_SIZE, bw // CELL_SIZE)
     pred = sample_subblocks(ref.luma, x, y, w, h, sub)
-    return FramePrediction(pred=pred, subblock_mvs=sub, corrected=corrected,
-                           refined=refined > 0)
+    return FramePrediction(pred=pred, subblock_mvs=sub, corrected=corrected)
 
 
 def predict_frame(ref: FrameBuffer, field: MotionField, block_size: int,
@@ -482,9 +480,9 @@ def predict_uamm(src: FrameBuffer, ref: FrameBuffer, ref_params: Optional[FieldP
     its rect of ``ref``, every 4x4 cell carrying ``initial_mv`` or, if that
     is None, the ``full_search_me`` vector, the one use of ``src``; each
     sub-block extrapolated ``t2`` ticks past the window of the parameters
-    it inherits. Where every sub-block falls back to the block vector,
-    ``refined[0, 0]`` is False and the result is the uniform baseline
-    exactly. A test oracle and tracer hook only.
+    it inherits. Where every sub-block falls back to the block vector, as
+    under parameters unavailable everywhere, the result is the uniform
+    baseline exactly. A test oracle and tracer hook only.
     """
     mv = initial_mv if initial_mv is not None else full_search_me(
         src, ref, block, search_range)

@@ -34,6 +34,7 @@ from uamm import (
 )
 from uamm.evaluation import RdPoint, bd_rate
 from uamm.interp import sample_block
+from uamm.motion_field import gather_params
 from uamm.predictor import (_block_sads, correct_mvs, full_search_me, predict_uamm,
                             predict_uniform)
 
@@ -213,7 +214,9 @@ def test_unavailable_field_degrades_to_the_baseline():
         b = predict_uniform(src, ref, block, 4)
         target = luma_src[by:by + size, bx:bx + size]
         sads = [_block_sads(target, r.pred, size, size).tolist() for r in (a, b)]
-        same = (a.refined.tolist() == b.refined.tolist() == [[False]]
+        mv = full_search_me(src, ref, block, 4)
+        kind = gather_params(empty, bx, by, size, size, mv.x, mv.y)[2]
+        same = (not (kind != ParamKind.UNAVAILABLE).any()
                 and np.array_equal(a.subblock_mvs, b.subblock_mvs)
                 and np.array_equal(a.pred, b.pred)
                 and sads[0] == sads[1]

@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -591,6 +592,27 @@ def test_traced_cli_reproduces_the_field_digests(tmp_path):
     assert counts["kinematics.solves"] > 0
 
 
+def test_every_workload_reproduces_the_benchmark_digests(tmp_path, monkeypatch):
+    # perfbench/run.py fails an invocation whose CSVs differ from the digests
+    # it recorded; this runs each workload once at seed 3 the way it does.
+    path = PRESETS.parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)   # its dataclasses look it up
+    spec.loader.exec_module(run)
+    env = dict(os.environ, PYTHONPATH=run.SRC)
+    for name, wl in run.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        ini = run.prepare_inputs(wl, 3, str(work))
+        proc = subprocess.run([sys.executable, "-m", "uamm.cli", wl.command, "--config", ini],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (name, proc.stderr)
+        problems, digests = run.check_outputs(wl, str(work / "out"))
+        assert problems == [], name
+        assert digests == run.load_reference(name, 3), name
+
+
 # ----------------------------------------------------------- cli: demo-field
 
 def test_demo_field_writes_one_csv_per_predicted_frame(tmp_path):
@@ -790,6 +812,28 @@ def test_synth_reproduces_its_frozen_digest(tmp_path, text, digest):
     out = tmp_path / "clip.yuv"
     assert cli.main(["synth", "--spec", write_ini(tmp_path, text), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_synth_meets_an_unwritable_out_before_rendering(tmp_path, capsys, monkeypatch):
+    def render(*args):
+        raise AssertionError("rendered before --out was opened")
+
+    monkeypatch.setattr(evaluation, "synth_sequence", render)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = cli.main(["synth", "--spec", write_ini(tmp_path, MINIMAL),
+                   "--out", str(taken / "x.yuv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_synth_makes_the_out_directory(tmp_path):
+    spec = write_ini(tmp_path, MINIMAL)
+    flat, nested = tmp_path / "x.yuv", tmp_path / "new" / "x.yuv"
+    assert cli.main(["synth", "--spec", spec, "--out", str(flat)]) == 0
+    assert cli.main(["synth", "--spec", spec, "--out", str(nested)]) == 0
+    assert nested.read_bytes() == flat.read_bytes()
 
 
 def test_synth_rejects_yuv_input_kind(tmp_path, capsys):

@@ -19,6 +19,7 @@ from uamm import (
     FrameBuffer,
     MotionField,
     MotionVector,
+    ParamKind,
     RatePoint,
     RdPoint,
     SequenceSource,
@@ -34,7 +35,7 @@ from uamm import (
 from uamm import evaluation, predictor
 from uamm.config import load_config
 from uamm.evaluation import MODES, Decoder, _ModeTally, _signed_exp_golomb_bits
-from uamm.motion_field import CELL_SIZE
+from uamm.motion_field import CELL_SIZE, gather_params
 from uamm.predictor import predict_uamm, predict_uniform
 
 CURVE = [RdPoint(100.0, 30.0), RdPoint(180.0, 33.0),
@@ -560,25 +561,27 @@ def test_decoder_advance_derives_each_field_against_the_one_before(drawn):
 @pytest.mark.parametrize("delta_max", [0, 8, 32])
 def test_decoder_decode_is_predict_frame_with_the_held_parameters_in_uamm_only(delta_max):
     """Uniform decodes without parameters and uamm with the held ones:
-    unavailable over an empty field before the first advance, then those
-    the last advance returned."""
+    none before the first advance, then those the last advance returned."""
     frames = accel_source(frames=4).load()
     decoder = Decoder(frames[0].poc, frames[0].width, frames[0].height)
-    held = FieldParams.unavailable(MotionField.empty(frames[0].poc, 32, 32))
-    refined = []
+    held = None
+    inherited = []
     for k in range(1, len(frames)):
         ref, bs = frames[k - 1], 8
         [field_k] = search_fields(frames[k], ref, [bs], 3)
+        assert decoder.params is held
         for mode, params in (("uniform", None), ("uamm", held)):
             got = decoder.decode(ref, field_k, bs, mode, delta_max)
             want = predictor.predict_frame(ref, field_k, bs, params, delta_max)
             for plane in dataclasses.fields(got):
                 assert np.array_equal(getattr(got, plane.name),
                                       getattr(want, plane.name)), (k, mode, plane.name)
-            refined.append(got.refined.any())
+            kind = (ParamKind.UNAVAILABLE if params is None else gather_params(
+                params, 0, 0, 32, 32, field_k.mv[..., 0], field_k.mv[..., 1])[2])
+            inherited.append(bool(np.any(kind != ParamKind.UNAVAILABLE)))
         held = decoder.advance(field_k)
-    # Only uamm on frames 2 and 3 reads parameters that refine a block.
-    assert refined == [False, False, False, True, False, True]
+    # Only uamm on frames 2 and 3 reads parameters that a sub-block inherits.
+    assert inherited == [False, False, False, True, False, True]
 
 
 # ------------------------------------------------------------ decoder replay
@@ -591,8 +594,8 @@ def _assert_a_decoder_replays(frames, rate_points, modes, delta_max):
     replay every prediction as a decoder would, from the frames and the
     recorded fields alone: rate point i's uamm mode reads the parameters
     derived from its fields of the two frames before, an empty field
-    standing in before the first. No frame plane and no recorded field
-    may change in the run or the replay."""
+    standing in before the first, and none on frame 1. No frame plane and
+    no recorded field may change in the run or the replay."""
     calls, reconstruct = [], evaluation.predict_frame
 
     def fingerprint(field):
@@ -629,14 +632,13 @@ def _assert_a_decoder_replays(frames, rate_points, modes, delta_max):
             for m in modes:
                 ref_poc, field, block_size, with_params, pred, _ = next(recorded)
                 assert (ref_poc, block_size, with_params) == (
-                    frames[k - 1].poc, rp.block_size, m == "uamm")
+                    frames[k - 1].poc, rp.block_size, m == "uamm" and k >= 2)
                 if len(fields[i]) == k:
                     fields[i].append(field)
                 assert field is fields[i][k]
                 params = None
-                if m == "uamm":
-                    params = (FieldParams.unavailable(fields[i][0]) if k == 1 else
-                              derive_field_params(fields[i][k - 1], fields[i][k - 2]))
+                if m == "uamm" and k >= 2:
+                    params = derive_field_params(fields[i][k - 1], fields[i][k - 2])
                 replayed = predictor.predict_frame(frames[k - 1], field, rp.block_size,
                                                    params, delta_max)
                 assert replayed.pred.tobytes() == pred

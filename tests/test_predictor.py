@@ -1,5 +1,6 @@
 """Search, compensation, sub-block vector correction, both prediction modes."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -31,6 +32,7 @@ from uamm import (
 )
 from uamm import predictor
 from uamm.interp import sample_block, sample_subblocks
+from uamm.motion_field import gather_params
 from uamm.predictor import (
     correct_mvs,
     full_search_me,
@@ -61,6 +63,26 @@ def scored(src, res, bh, bw, x=0, y=0):
     source frame it covers from (x, y), scored as the runner scores them."""
     h, w = res.pred.shape
     return predictor._block_sads(src.luma[y:y + h, x:x + w], res.pred, bh, bw)
+
+
+def inherits(params, block, mv):
+    """Whether any 4x4 sub-block of ``block``, displaced by the block
+    vector ``mv``, lands on a cell of ``params`` that has parameters."""
+    kind = gather_params(params, block.x, block.y, block.w, block.h, mv.x, mv.y)[2]
+    return bool((kind != ParamKind.UNAVAILABLE).any())
+
+
+def inheriting_blocks(params, field, block_size):
+    """``inherits`` for every block of ``field``'s tiling at once, [row, col],
+    each block displaced by its vector; all False without ``params``."""
+    rows, cols = field.ref_distance.shape
+    ry, rx = (np.arange(n) * CELL_SIZE // block_size for n in (rows, cols))
+    out = np.zeros((ry[-1] + 1, rx[-1] + 1), dtype=bool)
+    if params is not None:
+        kind = gather_params(params, 0, 0, cols * CELL_SIZE, rows * CELL_SIZE,
+                             field.mv[..., 0], field.mv[..., 1])[2]
+        np.logical_or.at(out, (ry[:, None], rx), kind != ParamKind.UNAVAILABLE)
+    return out
 
 
 def unit_window_params(w, h):
@@ -778,8 +800,10 @@ def test_prediction_with_a_given_vector_rejects_a_block_leaving_a_frame(
 def test_uniform_static_scene():
     rng = np.random.default_rng(9)
     luma = noise(rng, 32, 32)
-    res = predict_uniform(frame(luma), frame(luma), BlockSpec(8, 8, 16, 16), 4)
-    assert res.refined.tolist() == [[False]]
+    block = BlockSpec(8, 8, 16, 16)
+    res = predict_uniform(frame(luma), frame(luma), block, 4)
+    # Nothing inherited: every sub-block keeps the searched block vector.
+    assert full_search_me(frame(luma), frame(luma), block, 4) == MotionVector(0, 0)
     assert scored(frame(luma), res, 16, 16, 8, 8).tolist() == [[0]]
     assert res.corrected.tolist() == [[0]]
     assert res.subblock_mvs.shape == (4, 4, 2)
@@ -815,7 +839,7 @@ def test_uamm_total_fallback_equals_uniform():
     block = BlockSpec(8, 8, 16, 16)
     a = predict_uamm(frame(src), frame(ref), empty, block, 4, 1)
     b = predict_uniform(frame(src), frame(ref), block, 4)
-    assert a.refined.tolist() == b.refined.tolist() == [[False]]
+    assert not inherits(empty, block, full_search_me(frame(src), frame(ref), block, 4))
     assert np.array_equal(a.subblock_mvs, b.subblock_mvs)
     assert np.array_equal(a.pred, b.pred)
     sads = [scored(frame(src), r, 16, 16, 8, 8).tolist() for r in (a, b)]
@@ -826,8 +850,9 @@ def test_uamm_linear_field_scales_like_tmvp():
     rng = np.random.default_rng(13)
     luma = noise(rng, 32, 32)
     f = linear_field(32, 32, 16 * P, 0)  # one pel per tick
-    res = predict_uamm(frame(luma), frame(luma), f, BlockSpec(8, 8, 8, 8), 4, t2=2)
-    assert res.refined[0, 0]
+    block = BlockSpec(8, 8, 8, 8)
+    res = predict_uamm(frame(luma), frame(luma), f, block, 4, t2=2)
+    assert inherits(f, block, full_search_me(frame(luma), frame(luma), block, 4))
     assert res.corrected[0, 0] == 0
     # two ticks of one pel per tick: same value tmvp scaling produces
     from uamm import tmvp_scale
@@ -849,9 +874,9 @@ def test_uamm_recovers_the_accelerating_object():
                               MotionVector(-gt[k - 2].x, -gt[k - 2].y), tick)
     ref_field = derive_field_params(f2, f1)
     # 8x8 block fully inside the object footprint at frame 3
-    res = predict_uamm(frames[k], frames[k - 1], ref_field,
-                       BlockSpec(16, 6, 8, 8), 12, 1)
-    assert res.refined[0, 0]
+    block = BlockSpec(16, 6, 8, 8)
+    res = predict_uamm(frames[k], frames[k - 1], ref_field, block, 12, 1)
+    assert inherits(ref_field, block, full_search_me(frames[k], frames[k - 1], block, 12))
     assert np.all(res.subblock_mvs == np.array([-gt[k - 1].x, -gt[k - 1].y]))
     assert scored(frames[k], res, 8, 8, 16, 6)[0, 0] == 0
     assert res.corrected[0, 0] == 0
@@ -877,7 +902,7 @@ def test_uamm_majority_reset_reproduces_the_block_vector():
     block = BlockSpec(4, 4, 8, 8)
     res = predict_uamm(frame(luma), frame(luma), f, block, 2, 1)
     base = predict_uniform(frame(luma), frame(luma), block, 2)
-    assert res.refined[0, 0]
+    assert inherits(f, block, full_search_me(frame(luma), frame(luma), block, 2))
     assert res.corrected[0, 0] == 4
     assert np.array_equal(res.subblock_mvs, base.subblock_mvs)
     assert np.array_equal(res.pred, base.pred)
@@ -932,7 +957,7 @@ def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
     h, w = src.luma.shape
     pred = np.zeros((h, w), dtype=np.uint8)
     sub = np.zeros((h // 4, w // 4, 2), dtype=np.int64)
-    sads, corrected, refined = [], [], []
+    sads, corrected, inherited = [], [], []
     for y in range(0, h, block_size):
         for x in range(0, w, block_size):
             block = BlockSpec(x, y, min(block_size, w - x), min(block_size, h - y))
@@ -947,18 +972,21 @@ def _per_block_frame(src, ref, field, block_size, ref_field=None, delta_max=32):
             sub[y // 4:(y + block.h) // 4, x // 4:(x + block.w) // 4] = res.subblock_mvs
             sads.append(scored(src, res, block.h, block.w, x, y)[0, 0])
             corrected.append(res.corrected[0, 0])
-            refined.append(res.refined[0, 0])
+            inherited.append(ref_field is not None and inherits(ref_field, block, mv))
     blocks = (-(-h // block_size), -(-w // block_size))
-    return (pred, sub, *(np.array(v).reshape(blocks) for v in (sads, corrected, refined)))
+    return (pred, sub, *(np.array(v).reshape(blocks) for v in (sads, corrected, inherited)))
 
 
-def _assert_frame_equals(src, block_size, got, want):
-    pred, sub, sads, corrected, refined = want
+def _assert_frame_equals(src, field, block_size, ref_field, got, want):
+    """``got``, the frame pass of ``field`` over ``ref_field``, against the
+    per-block ``want``; the blocks that inherit parameters are found once
+    over the whole frame and once per block."""
+    pred, sub, sads, corrected, inherited = want
     assert np.array_equal(got.pred, pred)
     assert np.array_equal(got.subblock_mvs, sub)
     assert scored(src, got, block_size, block_size).tolist() == sads.tolist()
     assert got.corrected.tolist() == corrected.tolist()
-    assert got.refined.tolist() == refined.tolist()
+    assert inheriting_blocks(ref_field, field, block_size).tolist() == inherited.tolist()
 
 
 def _block_field(w, h, block_size, mvs, dists=None):
@@ -1009,13 +1037,47 @@ def _frame_case(draw):
 @given(_frame_case())
 def test_frame_pass_matches_one_call_per_block(case):
     """Both modes' frame passes against ``_per_block_frame``: prediction
-    plane, sub-block vectors, per-block SADs, clamp counts, refined flags."""
+    plane, sub-block vectors, per-block SADs, clamp counts, and the blocks
+    that inherit parameters."""
     src, ref, field, ref_field, block_size, delta_max = case
-    _assert_frame_equals(src, block_size, predict_frame(ref, field, block_size),
+    _assert_frame_equals(src, field, block_size, None, predict_frame(ref, field, block_size),
                          _per_block_frame(src, ref, field, block_size))
     _assert_frame_equals(
-        src, block_size, predict_frame(ref, field, block_size, ref_field, delta_max),
+        src, field, block_size, ref_field,
+        predict_frame(ref, field, block_size, ref_field, delta_max),
         _per_block_frame(src, ref, field, block_size, ref_field, delta_max))
+
+
+@st.composite
+def _unavailable_case(draw):
+    """A random per-cell field of sub-pel vectors over 1-3 ticks on frames
+    of 4-96 px a side, blocks of 4-64 px (edge blocks clip wherever a
+    side is not a multiple), parameters unavailable everywhere over a
+    random previous field, and band widths 0, 8, 32 and one that never
+    clamps."""
+    w, h = 4 * draw(st.integers(1, 24)), 4 * draw(st.integers(1, 24))
+    block_size = 4 * draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = frame(noise(rng, w, h), poc=1)
+    field, prev = MotionField.empty(2, w, h), MotionField.empty(1, w, h)
+    for f in (field, prev):
+        f.mv[...] = rng.integers(-1024, 1025, f.mv.shape)
+        f.ref_distance[...] = rng.integers(1, 4, f.ref_distance.shape)
+    delta_max = draw(st.sampled_from([0, 8, 32, 10**6]))
+    return ref, field, FieldParams.unavailable(prev), block_size, delta_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unavailable_case())
+def test_frame_pass_over_unavailable_parameters_is_the_uniform_pass(case):
+    """Parameters unavailable everywhere give the frame pass without
+    parameters in every ``FramePrediction`` field, dtype included."""
+    ref, field, unavailable, block_size, delta_max = case
+    got = predict_frame(ref, field, block_size, unavailable, delta_max)
+    want = predict_frame(ref, field, block_size, None, delta_max)
+    for plane in dataclasses.fields(got):
+        a, b = getattr(got, plane.name), getattr(want, plane.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), plane.name
 
 
 def test_frame_pass_applies_the_band_rule_block_by_block():
@@ -1046,13 +1108,15 @@ def test_frame_pass_applies_the_band_rule_block_by_block():
 
     got = predict_frame(ref, field, 16, ref_field, delta_max=32)
     assert got.corrected.tolist() == [[8, 0, 5], [2, 0, 3]]
-    assert got.refined.tolist() == [[True, False, True], [True, True, True]]
+    assert inheriting_blocks(ref_field, field, 16).tolist() == [[True, False, True],
+                                                                [True, True, True]]
     want_x = np.minimum(target, 32)
     want_x[0:4, 4:8] = want_x[4:6, 0:2] = 0           # fallbacks
     want_x[0:4, 8:10] = want_x[4:6, 8:10] = 0         # resets
     assert got.subblock_mvs[..., 0].tolist() == want_x.tolist()
     assert not got.subblock_mvs[..., 1].any()
-    _assert_frame_equals(src, 16, got, _per_block_frame(src, ref, field, 16, ref_field, 32))
+    _assert_frame_equals(src, field, 16, ref_field, got,
+                         _per_block_frame(src, ref, field, 16, ref_field, 32))
     uniform = predict_frame(ref, field, 16)
     assert np.array_equal(got.pred[0:16, 16:32], uniform.pred[0:16, 16:32])
     assert scored(src, got, 16, 16)[0, 1] == scored(src, uniform, 16, 16)[0, 1]
